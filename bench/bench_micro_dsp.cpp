@@ -19,10 +19,9 @@
 #include <iostream>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "array/beamformer.hpp"
-#include "array/covariance.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/chirp.hpp"
 #include "dsp/fft.hpp"
@@ -149,40 +148,6 @@ std::vector<Kernel> make_kernels() {
                        }});
   }
 
-  // Steering-multiply energy core, both numeric lanes: 6 channels x 2880
-  // snapshots, the inner loop of every imaging pixel.
-  {
-    const std::size_t len = 2880, m = 6;
-    std::vector<dsp::ComplexSignal> chans(m);
-    std::mt19937 gen(4);
-    std::normal_distribution<double> d(0.0, 1.0);
-    for (auto& ch : chans) {
-      ch.resize(len);
-      for (auto& v : ch) v = Complex(d(gen), d(gen));
-    }
-    const auto geom = array::make_respeaker_array();
-    const auto cov = array::white_noise_covariance(m);
-    array::NarrowbandBeamformer bf64(chans, 48000.0, units::Hertz{2500.0},
-                                     geom, cov, array::kSpeedOfSoundMps, {},
-                                     simd::NumericLane::kF64);
-    array::NarrowbandBeamformer bf32(chans, 48000.0, units::Hertz{2500.0},
-                                     geom, cov, array::kSpeedOfSoundMps, {},
-                                     simd::NumericLane::kF32);
-    const auto w = bf64.weights_mvdr(array::Direction{1.0, 1.2});
-    kernels.push_back({"steered_energy_f64", m * len, [bf64, w, len]() {
-                         const double e = bf64.steered_energy(w, 0, len);
-                         return std::bit_cast<std::uint64_t>(e);
-                       }});
-    kernels.push_back({"steered_energy_f32", m * len, [bf32, w, len]() {
-                         const double e = bf32.steered_energy(w, 0, len);
-                         return std::bit_cast<std::uint64_t>(e);
-                       }});
-    kernels.push_back({"incoherent_energy_f64", m * len, [bf64, len]() {
-                         const double e = bf64.incoherent_energy(0, len);
-                         return std::bit_cast<std::uint64_t>(e);
-                       }});
-  }
-
   return kernels;
 }
 
@@ -237,18 +202,13 @@ int main(int argc, char** argv) {
       }
       t.speedup_vs_scalar =
           t.ns_per_op > 0.0 ? scalar_ns / t.ns_per_op : 0.0;
-      // The f32 energy kernel never matches the f64 digest and carries its
-      // own contract; everything else must replay scalar bits exactly.
       t.bit_identical = (d == scalar_digest);
-      if (k.name.find("_f32") == std::string::npos)
-        all_bit_identical &= t.bit_identical;
+      all_bit_identical &= t.bit_identical;
       report.lanes.push_back(t);
       rows.push_back({k.name, std::to_string(k.n), t.isa,
                       eval::fmt(t.ns_per_op),
                       eval::fmt(t.speedup_vs_scalar),
-                      k.name.find("_f32") != std::string::npos
-                          ? (isa == simd::Isa::kScalar ? "ref" : "n/a")
-                          : (t.bit_identical ? "yes" : "NO")});
+                      t.bit_identical ? "yes" : "NO"});
     }
     reports.push_back(std::move(report));
     std::cerr << '.' << std::flush;
@@ -264,7 +224,10 @@ int main(int argc, char** argv) {
 
   std::ofstream json("BENCH_micro_dsp.json");
   json << "{\n  \"smoke\": " << (smoke ? "true" : "false")
-       << ",\n  \"best_isa\": \"" << simd::isa_name(simd::best_isa())
+       << ",\n  \"hardware_threads\": "
+       << std::max(1u, std::thread::hardware_concurrency())
+       << ",\n  \"build_type\": \"" << ECHOIMAGE_BUILD_TYPE
+       << "\",\n  \"best_isa\": \"" << simd::isa_name(simd::best_isa())
        << "\",\n  \"kernels\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const KernelReport& r = reports[i];

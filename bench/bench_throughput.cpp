@@ -116,9 +116,13 @@ int main(int argc, char** argv) {
 
   std::vector<Measurement> results;
   std::vector<std::vector<std::string>> rows;
-  for (const bool cache : {false, true}) {
-    double serial_rate = 0.0;
-    for (const std::size_t threads : kThreads) {
+  // Cache off and on run back to back at each thread count, and each rate
+  // is the best of kRepeats timed loops, so neither mode inherits a
+  // systematic clock or scheduling bias from its position in the sweep.
+  constexpr std::size_t kRepeats = 3;
+  double serial_rate[2] = {0.0, 0.0};  ///< threads = 1, by cache mode
+  for (const std::size_t threads : kThreads) {
+    for (const bool cache : {false, true}) {
       core::ImagingConfig cfg = base;
       cfg.num_threads = threads;
       cfg.use_weight_cache = cache;
@@ -132,13 +136,17 @@ int main(int argc, char** argv) {
       if (imager.weight_cache() != nullptr)
         imager.weight_cache()->reset_stats();
 
-      const auto start = std::chrono::steady_clock::now();
-      for (std::size_t r = 0; r < kImages; ++r)
-        image = imager.construct_bands(batch.beeps[r % batch.beeps.size()],
-                                       echoimage::units::Meters{0.7}, 0.0002,
-                                       batch.noise_only);
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
+      double best_s = 0.0;
+      for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+        const auto start = std::chrono::steady_clock::now();
+        for (std::size_t r = 0; r < kImages; ++r)
+          image = imager.construct_bands(batch.beeps[r % batch.beeps.size()],
+                                         echoimage::units::Meters{0.7},
+                                         0.0002, batch.noise_only);
+        const std::chrono::duration<double> elapsed =
+            std::chrono::steady_clock::now() - start;
+        if (rep == 0 || elapsed.count() < best_s) best_s = elapsed.count();
+      }
       // Compare against the reference on the reference's beep (the timed
       // loop cycles through the batch, so `image` holds a different one).
       image = imager.construct_bands(batch.beeps[0],
@@ -149,10 +157,11 @@ int main(int argc, char** argv) {
       m.threads = threads;
       m.cache = cache;
       m.images_per_sec =
-          static_cast<double>(kImages) / std::max(1e-9, elapsed.count());
-      if (threads == 1) serial_rate = m.images_per_sec;
-      m.speedup_vs_serial =
-          serial_rate > 0.0 ? m.images_per_sec / serial_rate : 0.0;
+          static_cast<double>(kImages) / std::max(1e-9, best_s);
+      if (threads == 1) serial_rate[cache] = m.images_per_sec;
+      m.speedup_vs_serial = serial_rate[cache] > 0.0
+                                ? m.images_per_sec / serial_rate[cache]
+                                : 0.0;
       m.hit_rate = imager.weight_cache() != nullptr
                        ? imager.weight_cache()->stats().hit_rate()
                        : 0.0;
@@ -213,13 +222,11 @@ int main(int argc, char** argv) {
   std::cout << '\n';
 
   // --- SIMD lane sweep (serial, cache on): per-image speedup of each ISA
-  // lane over forced scalar, plus the f32 numeric lane on the best ISA.
-  // Every f64 lane must reproduce the reference bit for bit — the sweep is
-  // a speed dial, never a numerics dial (DESIGN.md, "SIMD & numeric-lane
-  // model").
+  // lane over forced scalar. Every lane must reproduce the reference bit
+  // for bit — the sweep is a speed dial, never a numerics dial (DESIGN.md,
+  // "SIMD model").
   struct LaneResult {
     std::string isa;
-    std::string lane = "f64";
     double images_per_sec = 0.0;
     double speedup_vs_scalar = 0.0;
     bool bit_identical = false;
@@ -262,80 +269,72 @@ int main(int argc, char** argv) {
           reference);
       lanes_ok &= r.bit_identical;
       lane_results.push_back(r);
-      lane_rows.push_back({r.isa, r.lane, eval::fmt(r.images_per_sec),
+      lane_rows.push_back({r.isa, eval::fmt(r.images_per_sec),
                            eval::fmt(r.speedup_vs_scalar),
                            r.bit_identical ? "yes" : "NO"});
       std::cerr << '.' << std::flush;
     }
-    // f32 numeric lane on the best ISA: speed entry only — its accuracy
-    // contract (pinned relative bound) is enforced by the golden tests.
-    {
-      core::ImagingConfig f32_cfg = cfg;
-      f32_cfg.numeric_lane = simd::NumericLane::kF32;
-      const core::AcousticImager imager(f32_cfg, geometry);
-      LaneResult r;
-      r.isa = simd::isa_name(simd::best_isa());
-      r.lane = "f32";
-      r.images_per_sec = time_lane(imager);
-      r.speedup_vs_scalar =
-          scalar_rate > 0.0 ? r.images_per_sec / scalar_rate : 0.0;
-      r.bit_identical = true;  // not applicable: different numeric lane
-      lane_results.push_back(r);
-      lane_rows.push_back({r.isa, r.lane, eval::fmt(r.images_per_sec),
-                           eval::fmt(r.speedup_vs_scalar), "n/a"});
-    }
     std::cerr << '\n';
     std::cout << "\n-- SIMD lane sweep (serial, cache on) --\n";
-    eval::print_table(
-        std::cout,
-        {"isa", "lane", "images/s", "speedup vs scalar", "bit-identical"},
-        lane_rows);
-    std::cout << "lane determinism (every f64 lane matches scalar bitwise): "
+    eval::print_table(std::cout,
+                      {"isa", "images/s", "speedup vs scalar", "bit-identical"},
+                      lane_rows);
+    std::cout << "lane determinism (every lane matches scalar bitwise): "
               << (lanes_ok ? "PASS" : "FAIL") << '\n';
   }
 
-  // --- Paper-scale entry: one 180x180 image at the paper's full band
-  // count, best lane + all hardware threads + warm cache. This is the
-  // configuration the SIMD port exists to make tractable; one image per
-  // numeric lane keeps the entry honest without dominating the smoke run.
-  double paper_f64_s = 0.0, paper_f32_s = 0.0;
-  const std::size_t paper_threads = std::max(1u, hw);
+  // --- Paper-scale entry: 180x180 images at the paper's full band count
+  // on the best lane, on 1 thread and on every hardware thread. The cold
+  // image solves every weight vector into fresh tables; the warm one (a
+  // second beep at the same distance) replays them.
+  struct PaperResult {
+    std::size_t threads = 1;
+    double cold_s = 0.0;
+    double warm_s = 0.0;
+  };
+  std::vector<PaperResult> paper;
   if (run_paper) {
-    core::ImagingConfig cfg = base;
-    cfg.grid_size = 180;
-    cfg.grid_spacing_m = 0.01;  // paper Sec. V-C: 180x180 of 1 cm
-    cfg.num_subbands = 5;
-    cfg.num_threads = paper_threads;
-    cfg.use_weight_cache = true;
-    const auto time_one = [&](const core::ImagingConfig& c) {
-      const core::AcousticImager imager(c, geometry);
-      const auto start = std::chrono::steady_clock::now();
-      (void)imager.construct_bands(batch.beeps[0],
-                                   echoimage::units::Meters{0.7}, 0.0002,
-                                   batch.noise_only);
-      return std::chrono::duration<double>(
-                 std::chrono::steady_clock::now() - start)
-          .count();
-    };
-    paper_f64_s = time_one(cfg);
-    cfg.numeric_lane = simd::NumericLane::kF32;
-    paper_f32_s = time_one(cfg);
+    std::vector<std::vector<std::string>> paper_rows;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{hw}}) {
+      if (threads == hw && hw == 1) break;
+      core::ImagingConfig cfg = base;
+      cfg.grid_size = 180;
+      cfg.grid_spacing_m = 0.01;  // paper Sec. V-C: 180x180 of 1 cm
+      cfg.num_subbands = 5;
+      cfg.num_threads = threads;
+      cfg.use_weight_cache = true;
+      const core::AcousticImager imager(cfg, geometry);
+      const auto time_one = [&](std::size_t beep) {
+        const auto start = std::chrono::steady_clock::now();
+        (void)imager.construct_bands(batch.beeps[beep],
+                                     echoimage::units::Meters{0.7}, 0.0002,
+                                     batch.noise_only);
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+      };
+      PaperResult r;
+      r.threads = threads;
+      r.cold_s = time_one(0);
+      r.warm_s = time_one(1);
+      paper.push_back(r);
+      paper_rows.push_back({std::to_string(threads), eval::fmt(r.cold_s),
+                            eval::fmt(r.warm_s)});
+    }
     std::cout << "\n-- paper scale (180x180, 5 bands, "
-              << simd::isa_name(simd::active_isa()) << ", " << paper_threads
-              << " thread(s)) --\nf64: " << eval::fmt(paper_f64_s)
-              << " s/image, f32: " << eval::fmt(paper_f32_s)
-              << " s/image (f64/f32 = "
-              << eval::fmt(paper_f32_s > 0.0 ? paper_f64_s / paper_f32_s
-                                             : 0.0)
-              << "x)\n";
+              << simd::isa_name(simd::active_isa()) << ") --\n";
+    eval::print_table(std::cout, {"threads", "cold s/image", "warm s/image"},
+                      paper_rows);
   }
 
   std::ofstream json("BENCH_throughput.json");
   json << "{\n  \"grid_size\": " << kGrid
        << ",\n  \"num_subbands\": " << kSubbands
        << ",\n  \"images_per_config\": " << kImages
-       << ",\n  \"hardware_threads\": " << hw << ",\n  \"smoke\": "
-       << json_bool(smoke) << ",\n  \"results\": [\n";
+       << ",\n  \"hardware_threads\": " << hw
+       << ",\n  \"build_type\": \"" << ECHOIMAGE_BUILD_TYPE
+       << "\",\n  \"smoke\": " << json_bool(smoke)
+       << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
     json << "    {\"threads\": " << m.threads
@@ -350,16 +349,19 @@ int main(int argc, char** argv) {
        << simd::isa_name(simd::best_isa()) << "\",\n    \"lanes\": [\n";
   for (std::size_t i = 0; i < lane_results.size(); ++i) {
     const LaneResult& r = lane_results[i];
-    json << "      {\"isa\": \"" << r.isa << "\", \"lane\": \"" << r.lane
+    json << "      {\"isa\": \"" << r.isa
          << "\", \"images_per_sec\": " << r.images_per_sec
          << ", \"speedup_vs_scalar\": " << r.speedup_vs_scalar
          << ", \"bit_identical\": " << json_bool(r.bit_identical) << "}"
          << (i + 1 < lane_results.size() ? "," : "") << "\n";
   }
-  json << "    ],\n    \"paper_scale\": {\"grid_size\": 180, "
-       << "\"num_subbands\": 5, \"threads\": " << paper_threads
-       << ", \"seconds_per_image_f64\": " << paper_f64_s
-       << ", \"seconds_per_image_f32\": " << paper_f32_s << "}\n  },\n";
+  json << "    ]\n  },\n  \"paper_scale\": {\"grid_size\": 180, "
+       << "\"num_subbands\": 5, \"results\": [";
+  for (std::size_t i = 0; i < paper.size(); ++i)
+    json << (i > 0 ? ", " : "") << "{\"threads\": " << paper[i].threads
+         << ", \"seconds_per_image_cold\": " << paper[i].cold_s
+         << ", \"seconds_per_image_warm\": " << paper[i].warm_s << "}";
+  json << "]},\n";
   json << "  \"determinism_pass\": " << json_bool(deterministic)
        << ",\n  \"cache_pass\": " << json_bool(cache_ok)
        << ",\n  \"lane_pass\": " << json_bool(lanes_ok)

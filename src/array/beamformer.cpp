@@ -1,13 +1,11 @@
 #include "array/beamformer.hpp"
 
-#include <array>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
 #include "dsp/fft.hpp"
 #include "dsp/hilbert.hpp"
-#include "simd/kernels.hpp"
 
 namespace echoimage::array {
 
@@ -150,7 +148,6 @@ NarrowbandBeamformer::NarrowbandBeamformer(const MultiChannelSignal& bandpassed,
   }
   noise_cov_.add_diagonal(1e-3);  // loading keeps the inverse well-behaved
   noise_cov_inv_ = echoimage::linalg::inverse(noise_cov_);
-  finalize_channels();
 }
 
 NarrowbandBeamformer::NarrowbandBeamformer(const MultiChannelSignal& bandpassed,
@@ -185,18 +182,15 @@ NarrowbandBeamformer::NarrowbandBeamformer(const MultiChannelSignal& bandpassed,
   }
   noise_cov_.add_diagonal(1e-3);
   noise_cov_inv_ = echoimage::linalg::inverse(noise_cov_);
-  finalize_channels();
 }
 
 NarrowbandBeamformer::NarrowbandBeamformer(
     std::vector<ComplexSignal> channels, double sample_rate,
     units::Hertz center_freq, ArrayGeometry geom, CMatrix noise_covariance,
-    units::MetersPerSecond speed_of_sound, const ChannelMask& active_mask,
-    simd::NumericLane lane)
+    units::MetersPerSecond speed_of_sound, const ChannelMask& active_mask)
     : sample_rate_(sample_rate),
       center_freq_hz_(center_freq.value()),
-      speed_of_sound_(speed_of_sound.value()),
-      lane_(lane) {
+      speed_of_sound_(speed_of_sound.value()) {
   if (channels.size() != geom.num_mics())
     throw std::invalid_argument("NarrowbandBeamformer: channel/mic mismatch");
   if (noise_covariance.rows() != geom.num_mics() ||
@@ -216,58 +210,6 @@ NarrowbandBeamformer::NarrowbandBeamformer(
           "NarrowbandBeamformer: ragged complex channels");
   noise_cov_.add_diagonal(1e-3);
   noise_cov_inv_ = echoimage::linalg::inverse(noise_cov_);
-  finalize_channels();
-}
-
-NarrowbandBeamformer::NarrowbandBeamformer(const NarrowbandBeamformer& other)
-    : geom_(other.geom_),
-      sample_rate_(other.sample_rate_),
-      center_freq_hz_(other.center_freq_hz_),
-      speed_of_sound_(other.speed_of_sound_),
-      length_(other.length_),
-      lane_(other.lane_),
-      analytic_(other.analytic_),
-      noise_cov_(other.noise_cov_),
-      noise_cov_inv_(other.noise_cov_inv_) {
-  finalize_channels();
-}
-
-NarrowbandBeamformer& NarrowbandBeamformer::operator=(
-    const NarrowbandBeamformer& other) {
-  if (this == &other) return *this;
-  geom_ = other.geom_;
-  sample_rate_ = other.sample_rate_;
-  center_freq_hz_ = other.center_freq_hz_;
-  speed_of_sound_ = other.speed_of_sound_;
-  length_ = other.length_;
-  lane_ = other.lane_;
-  analytic_ = other.analytic_;
-  noise_cov_ = other.noise_cov_;
-  noise_cov_inv_ = other.noise_cov_inv_;
-  finalize_channels();
-  return *this;
-}
-
-void NarrowbandBeamformer::finalize_channels() {
-  ch_ptrs_.clear();
-  ch_ptrs_.reserve(analytic_.size());
-  for (const ComplexSignal& c : analytic_) ch_ptrs_.push_back(c.data());
-  if (lane_ != simd::NumericLane::kF32) return;
-  f32_channels_.clear();
-  f32_channels_.reserve(analytic_.size());
-  f32_ptrs_.clear();
-  f32_ptrs_.reserve(analytic_.size());
-  for (const ComplexSignal& c : analytic_) {
-    simd::AlignedVector<float> f;
-    f.reserve(2 * c.size());
-    for (const Complex& v : c) {
-      f.push_back(static_cast<float>(v.real()));
-      f.push_back(static_cast<float>(v.imag()));
-    }
-    f32_channels_.push_back(std::move(f));
-  }
-  for (const simd::AlignedVector<float>& f : f32_channels_)
-    f32_ptrs_.push_back(f.data());
 }
 
 CMatrix noise_covariance_of(const MultiChannelSignal& noise) {
@@ -315,18 +257,24 @@ std::vector<Complex> NarrowbandBeamformer::weights_das(
 void NarrowbandBeamformer::compute_weights(const Direction& dir,
                                            bool use_mvdr,
                                            std::vector<Complex>& scratch,
-                                           std::vector<Complex>& out) const {
+                                           Complex* out) const {
   steering_vector_into(geom_, dir,
                        2.0 * std::numbers::pi * center_freq_hz_,
                        units::MetersPerSecond{speed_of_sound_}, scratch);
+  const std::size_t m = scratch.size();
   if (use_mvdr) {
-    echoimage::linalg::multiply_into(noise_cov_inv_, scratch, out);
-    const Complex denom = hdot(scratch, out);
-    for (Complex& w : out) w /= denom;
+    // R^-1 a / (a^H R^-1 a), in the operation order of multiply + hdot.
+    Complex denom(0.0, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      out[i] = Complex(0.0, 0.0);
+      for (std::size_t j = 0; j < m; ++j)
+        out[i] += noise_cov_inv_(i, j) * scratch[j];
+      denom += std::conj(scratch[i]) * out[i];
+    }
+    for (std::size_t i = 0; i < m; ++i) out[i] /= denom;
   } else {
-    out = scratch;
-    const double inv_m = 1.0 / static_cast<double>(out.size());
-    for (Complex& w : out) w *= inv_m;
+    const double inv_m = 1.0 / static_cast<double>(m);
+    for (std::size_t i = 0; i < m; ++i) out[i] = scratch[i] * inv_m;
   }
 }
 
@@ -336,55 +284,6 @@ ComplexSignal NarrowbandBeamformer::steer(const Direction& dir) const {
 
 ComplexSignal NarrowbandBeamformer::steer_das(const Direction& dir) const {
   return apply_weights(analytic_, weights_das(dir));
-}
-
-double NarrowbandBeamformer::steered_energy(const Direction& dir,
-                                            std::size_t first,
-                                            std::size_t count,
-                                            bool use_mvdr) const {
-  return steered_energy(use_mvdr ? weights_mvdr(dir) : weights_das(dir),
-                        first, count);
-}
-
-double NarrowbandBeamformer::steered_energy(const std::vector<Complex>& w,
-                                            std::size_t first,
-                                            std::size_t count) const {
-  if (w.size() != analytic_.size())
-    throw std::invalid_argument(
-        "NarrowbandBeamformer: weight/channel mismatch");
-  const std::size_t last = std::min(length_, first + count);
-  if (first >= last) return 0.0;
-  const std::size_t n = last - first;
-  const std::size_t m = analytic_.size();
-  const simd::KernelTable& k = simd::kernels();
-  // The f32 lane converts weights on the stack per call; weight vectors
-  // are bounded by the 64-bit channel masks upstream, so 64 always fits.
-  if (lane_ == simd::NumericLane::kF32 && m <= 64) {
-    std::array<float, 64> wre, wim;
-    for (std::size_t c = 0; c < m; ++c) {
-      wre[c] = static_cast<float>(w[c].real());
-      wim[c] = static_cast<float>(w[c].imag());
-    }
-    return static_cast<double>(k.steered_energy_f32(
-        f32_ptrs_.data(), m, wre.data(), wim.data(), first, n));
-  }
-  return k.steered_energy_f64(ch_ptrs_.data(), m, w.data(), first, n);
-}
-
-double NarrowbandBeamformer::incoherent_energy(std::size_t first,
-                                               std::size_t count) const {
-  const std::size_t last = std::min(length_, first + count);
-  const std::size_t m = analytic_.size();
-  if (first >= last) return 0.0;
-  const std::size_t n = last - first;
-  const simd::KernelTable& k = simd::kernels();
-  if (lane_ == simd::NumericLane::kF32) {
-    return static_cast<double>(
-               k.incoherent_energy_f32(f32_ptrs_.data(), m, first, n)) /
-           static_cast<double>(m);
-  }
-  return k.incoherent_energy_f64(ch_ptrs_.data(), m, first, n) /
-         static_cast<double>(m);
 }
 
 Signal beamform_subband_mvdr(const MultiChannelSignal& x,

@@ -17,8 +17,6 @@
 #include "array/geometry.hpp"
 #include "array/steering.hpp"
 #include "dsp/stft.hpp"
-#include "simd/aligned.hpp"
-#include "simd/isa.hpp"
 
 namespace echoimage::array {
 
@@ -88,27 +86,12 @@ class NarrowbandBeamformer {
                        const ChannelMask& active_mask = {});
 
   /// Variant taking per-channel complex (analytic or pulse-compressed)
-  /// signals directly. `lane` picks the numeric lane for the energy
-  /// kernels: kF64 is bit-identical to the historical scalar loops; kF32
-  /// converts the channels once to interleaved float (kept alongside the
-  /// f64 data) and evaluates energies in single precision — a pinned
-  /// relative-error bound away from kF64 (DESIGN.md, "SIMD &
-  /// numeric-lane model"). Weight computation stays f64 in both lanes.
+  /// signals directly.
   NarrowbandBeamformer(std::vector<echoimage::dsp::ComplexSignal> channels,
                        double sample_rate, units::Hertz center_freq,
                        ArrayGeometry geom, CMatrix noise_covariance,
                        units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps,
-                       const ChannelMask& active_mask = {},
-                       simd::NumericLane lane = simd::NumericLane::kF64);
-
-  /// Copies rebuild the kernel-facing channel-pointer arrays against their
-  /// own buffers (the default member-wise copy would leave them aimed into
-  /// the source object). Moves transfer the heap buffers wholesale, so the
-  /// pointer arrays stay valid and the defaults are correct.
-  NarrowbandBeamformer(const NarrowbandBeamformer& other);
-  NarrowbandBeamformer& operator=(const NarrowbandBeamformer& other);
-  NarrowbandBeamformer(NarrowbandBeamformer&&) = default;
-  NarrowbandBeamformer& operator=(NarrowbandBeamformer&&) = default;
+                       const ChannelMask& active_mask = {});
 
   /// Geometry of the (possibly reduced) subarray this beamformer runs on.
   [[nodiscard]] const ArrayGeometry& geometry() const { return geom_; }
@@ -128,11 +111,10 @@ class NarrowbandBeamformer {
   [[nodiscard]] std::vector<Complex> weights_das(const Direction& dir) const;
 
   /// Allocation-reusing variant for hot loops: weights toward `dir`
-  /// (MVDR or delay-and-sum) written into `out`, with `scratch` holding
-  /// the steering vector. Bit-identical to the returning overloads.
+  /// (MVDR or delay-and-sum) written into `out[0, M)`, with `scratch`
+  /// holding the steering vector. Bit-identical to the returning overloads.
   void compute_weights(const Direction& dir, bool use_mvdr,
-                       std::vector<Complex>& scratch,
-                       std::vector<Complex>& out) const;
+                       std::vector<Complex>& scratch, Complex* out) const;
 
   /// Steered analytic output y(t) = w^H x(t) with MVDR weights.
   [[nodiscard]] echoimage::dsp::ComplexSignal steer(const Direction& dir) const;
@@ -141,42 +123,13 @@ class NarrowbandBeamformer {
   [[nodiscard]] echoimage::dsp::ComplexSignal steer_das(
       const Direction& dir) const;
 
-  /// Energy (sum |y|^2) of the steered output restricted to
-  /// [first, first+count) — the imaging inner loop, avoids materializing y.
-  [[nodiscard]] double steered_energy(const Direction& dir, std::size_t first,
-                                      std::size_t count, bool use_mvdr) const;
-
-  /// Same energy from precomputed weights (e.g. a WeightCache hit). The
-  /// weight vector must match the (masked) channel count.
-  [[nodiscard]] double steered_energy(const std::vector<Complex>& w,
-                                      std::size_t first,
-                                      std::size_t count) const;
-
-  /// Incoherent (phase-free) energy: mean over microphones of the per-
-  /// channel energy in [first, first+count). Direction-independent — pure
-  /// range information, immune to inter-channel phase (speckle) flips.
-  [[nodiscard]] double incoherent_energy(std::size_t first,
-                                         std::size_t count) const;
-
-  /// Numeric lane the energy kernels run on.
-  [[nodiscard]] simd::NumericLane numeric_lane() const { return lane_; }
-
  private:
-  /// Builds the kernel-facing channel pointer arrays (and, on the f32
-  /// lane, the interleaved float copies). Called once per constructor
-  /// after analytic_ is final.
-  void finalize_channels();
-
   ArrayGeometry geom_;
   double sample_rate_;
   double center_freq_hz_;
   double speed_of_sound_;
   std::size_t length_ = 0;
-  simd::NumericLane lane_ = simd::NumericLane::kF64;
   std::vector<echoimage::dsp::ComplexSignal> analytic_;
-  std::vector<const Complex*> ch_ptrs_;  ///< kernel view of analytic_
-  std::vector<simd::AlignedVector<float>> f32_channels_;  ///< kF32 only
-  std::vector<const float*> f32_ptrs_;
   CMatrix noise_cov_;      ///< normalized, loaded
   CMatrix noise_cov_inv_;  ///< cached inverse for weight computation
 };

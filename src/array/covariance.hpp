@@ -6,7 +6,9 @@
 // analytic signals, or per STFT bin for the subband engine.
 #pragma once
 
+#include <compare>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "array/geometry.hpp"
@@ -58,5 +60,46 @@ using echoimage::linalg::CMatrix;
 /// Principal submatrix of a covariance over the active channels.
 [[nodiscard]] CMatrix masked_covariance(const CMatrix& full,
                                         const ChannelMask& mask);
+
+/// A time gate: snapshots [first, last). Empty when last <= first.
+struct Gate {
+  std::size_t first = 0;
+  std::size_t last = 0;
+
+  auto operator<=>(const Gate&) const = default;
+};
+
+/// Unnormalized gate covariances Q_g = sum_{t in g} x(t) x(t)^H of one set
+/// of equal-length complex channels, one M x M Hermitian matrix per gate
+/// (stored as its upper triangle). They turn gated beamformer energies into
+/// quadratic forms: sum_{t in g} |w^H x(t)|^2 = w^H Q_g w, so the cost of an
+/// energy no longer grows with the gate length.
+///
+/// Numerics: each Q_g is assembled from fixed kBlock-sample block sums plus
+/// the partial blocks at its two ends — additions only, never a difference
+/// of running sums — so it equals the direct per-sample sum up to
+/// reassociation. Gates are clipped to the channel length; an empty gate
+/// gives Q = 0 and therefore exactly zero energy.
+class GateCovariances {
+ public:
+  static constexpr std::size_t kBlock = 16;
+
+  /// Throws std::invalid_argument when `channels` is empty or ragged.
+  GateCovariances(const std::vector<ComplexSignal>& channels,
+                  std::span<const Gate> gates);
+
+  /// Re(w^H Q_g w): the energy of the steered output w^H x(t) over gate g.
+  /// `w` holds num_channels() weights.
+  [[nodiscard]] double steered_energy(std::size_t g, const Complex* w) const;
+
+  /// tr(Q_g) / M: the mean per-channel energy over gate g. Direction-free —
+  /// pure range information, immune to inter-channel phase flips.
+  [[nodiscard]] double incoherent_energy(std::size_t g) const;
+
+ private:
+  std::size_t m_ = 0;
+  std::size_t packed_ = 0;  ///< m(m+1)/2 upper-triangle entries per gate
+  std::vector<Complex> q_;  ///< gate-major packed upper triangles
+};
 
 }  // namespace echoimage::array

@@ -27,18 +27,6 @@ std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
 
 }  // namespace
 
-std::size_t WeightKeyHash::operator()(const WeightKey& k) const {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a_u64(h, (static_cast<std::uint64_t>(k.band) << 32) | k.grid_index);
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(k.distance_q));
-  h = fnv1a_u64(h, k.speed_bits);
-  h = fnv1a_u64(h, k.mask_bits);
-  h = fnv1a_u64(h, k.cov_fingerprint);
-  h = fnv1a_u64(h, (static_cast<std::uint64_t>(k.lane) << 1) |
-                       (k.mvdr ? 1u : 0u));
-  return static_cast<std::size_t>(h);
-}
-
 WeightCache::WeightCache(WeightCacheConfig config) : config_(config) {
   if (config_.capacity == 0)
     throw std::invalid_argument("WeightCache: capacity must be positive");
@@ -90,34 +78,45 @@ std::uint64_t WeightCache::fingerprint(const CMatrix& cov) {
   return h;
 }
 
-bool WeightCache::lookup(const WeightKey& key,
-                         std::vector<Complex>& out) const {
+std::shared_ptr<const WeightTable> WeightCache::find(const WeightKey& key,
+                                                     std::size_t rows) const {
   {
     const runtime::sync::SharedLockGuard lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      out = it->second;
-      hits_->add();
-      return true;
+    for (const Entry& e : entries_) {
+      if (e.key == key) {
+        hits_->add(e.table->num_rows());
+        return e.table;
+      }
     }
   }
-  misses_->add();
-  return false;
+  misses_->add(rows);
+  return nullptr;
 }
 
-void WeightCache::insert(const WeightKey& key,
-                         const std::vector<Complex>& weights) {
+std::shared_ptr<const WeightTable> WeightCache::publish(
+    const WeightKey& key, std::shared_ptr<const WeightTable> table) {
   const runtime::sync::LockGuard lock(mutex_);
-  if (entries_.size() >= config_.capacity && !entries_.contains(key)) {
-    entries_.clear();
-    flushes_->add();
+  for (const Entry& e : entries_)
+    if (e.key == key) return e.table;
+  const std::size_t rows = table->num_rows();
+  if (rows > config_.capacity) return table;  // too large to keep resident
+  std::size_t evicted = 0;
+  while (resident_ + rows > config_.capacity) {
+    resident_ -= entries_[evicted].table->num_rows();
+    ++evicted;
   }
-  if (entries_.emplace(key, weights).second) insertions_->add();
+  entries_.erase(entries_.begin(),
+                 entries_.begin() + static_cast<std::ptrdiff_t>(evicted));
+  flushes_->add(evicted);
+  entries_.push_back(Entry{key, table});
+  resident_ += rows;
+  insertions_->add(rows);
+  return table;
 }
 
 std::size_t WeightCache::size() const {
   const runtime::sync::SharedLockGuard lock(mutex_);
-  return entries_.size();
+  return resident_;
 }
 
 WeightCacheStats WeightCache::stats() const {
@@ -138,8 +137,9 @@ void WeightCache::reset_stats() const {
 
 void WeightCache::clear() {
   const runtime::sync::LockGuard lock(mutex_);
-  if (!entries_.empty()) flushes_->add();
+  flushes_->add(entries_.size());
   entries_.clear();
+  resident_ = 0;
 }
 
 }  // namespace echoimage::array

@@ -1,4 +1,5 @@
-// Memoized beamformer weights for the imaging hot path.
+// Memoized beamformer weights for the imaging hot path, one dense table
+// per band sweep.
 //
 // Constructing one acoustic image steers the array to G x G grid
 // directions per spectral band; each MVDR steer costs a steering-vector
@@ -9,45 +10,53 @@
 // estimate and users stand still between beeps — can reuse the weights
 // verbatim.
 //
-// Keying. An entry is identified by:
-//   * band + grid index          — which steering direction,
-//   * quantized plane distance   — distances within one quantum share an
-//                                  entry (the stored weights are the ones
+// Tables. The unit of caching is a WeightTable: one contiguous G^2 x M
+// block whose row k holds the weights of grid k. The imager looks a table
+// up once per band; on a miss its row tasks fill a fresh table's disjoint
+// rows as they sweep, and the filled table is published afterwards. The
+// pixel loop therefore takes no lock, hashes nothing and allocates
+// nothing.
+//
+// Keying. A table is identified by:
+//   * band                       — which spectral band (center frequency),
+//   * quantized plane distance   — distances within one quantum share a
+//                                  table (the stored weights are the ones
 //                                  computed at the first-seen distance;
 //                                  the default 1 mm quantum is far below
 //                                  the distance estimator's noise floor),
 //   * speed-of-sound bit pattern — a recalibrated c can never alias a
-//                                  stale entry,
+//                                  stale table,
 //   * channel-mask bits          — a degraded subarray can never alias the
 //                                  full array (weight vectors even differ
 //                                  in length),
 //   * covariance fingerprint     — a different noise field invalidates the
 //                                  MVDR solve,
-//   * mvdr flag                  — MVDR and delay-and-sum never mix,
-//   * numeric lane               — weights are f64 in both lanes, but the
-//                                  energies they feed are not; keeping f32
-//                                  and f64 imaging runs in separate entries
-//                                  keeps each lane's bit-replay honest.
+//   * mvdr flag                  — MVDR and delay-and-sum never mix.
 //
-// Determinism. Weights are computed by the caller and inserted verbatim;
+// Determinism. Weights are computed by the imager and published verbatim;
 // a hit returns exactly the bits a recompute would produce (the weight
 // computation is deterministic), so cache-on and cache-off imaging are
-// bit-identical. Eviction is wholesale: when the entry cap is reached the
-// cache is flushed and re-seeded, so a lookup can never observe a
-// partially evicted (stale) state.
+// bit-identical. The first publisher of a key wins; a racing duplicate is
+// dropped (both computed identical bits). Tables are immutable once
+// published and shared by pointer, so an evicted table stays valid for any
+// sweep still reading it.
 //
-// Thread safety: lookups take a shared lock, inserts an exclusive lock
-// on a runtime::sync::SharedMutex capability, so the entry map's lock
-// discipline is proven by the Clang thread-safety build; hit/miss
-// accounting goes through obs::Counter handles (sharded per pool worker,
-// merged exactly on read). By default the cache binds counters in a
-// private registry; `attach_metrics` rebinds them into the system-wide
-// observability registry so cache behaviour shows up in trace reports.
+// Capacity is counted in weight vectors (table rows). Publishing a table
+// that would exceed it evicts whole tables, oldest first — never the one
+// being published; a table larger than the whole capacity is not kept.
+//
+// Thread safety: lookups take a shared lock, publishes an exclusive lock
+// on a runtime::sync::SharedMutex capability, so the table list's lock
+// discipline is proven by the Clang thread-safety build. Accounting counts
+// weight vectors, in bulk: a hit adds the table's rows to `hits`, a miss
+// the requested rows to `misses`, a winning publish its rows to
+// `insertions`; `flushes` counts evicted tables. The counters are
+// obs::Counter handles in a private registry until `attach_metrics`
+// rebinds them into the system-wide observability registry.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "array/covariance.hpp"
@@ -59,24 +68,42 @@ namespace echoimage::array {
 
 struct WeightKey {
   std::uint32_t band = 0;
-  std::uint32_t grid_index = 0;
   std::int64_t distance_q = 0;     ///< quantized plane distance
   std::uint64_t speed_bits = 0;    ///< bit pattern of the speed of sound
   std::uint64_t mask_bits = 0;     ///< active-channel bitset (see mask_bits)
   std::uint64_t cov_fingerprint = 0;
   bool mvdr = true;
-  std::uint8_t lane = 0;  ///< simd::NumericLane of the consuming imager
 
   bool operator==(const WeightKey&) const = default;
 };
 
-struct WeightKeyHash {
-  [[nodiscard]] std::size_t operator()(const WeightKey& k) const;
+/// Dense weights of one band sweep: `num_rows` weight vectors of
+/// `num_channels` entries each, row k contiguous.
+class WeightTable {
+ public:
+  WeightTable(std::size_t num_rows, std::size_t num_channels)
+      : num_rows_(num_rows),
+        num_channels_(num_channels),
+        weights_(num_rows * num_channels) {}
+
+  [[nodiscard]] std::size_t num_rows() const { return num_rows_; }
+  [[nodiscard]] std::size_t num_channels() const { return num_channels_; }
+  [[nodiscard]] Complex* row(std::size_t k) {
+    return weights_.data() + k * num_channels_;
+  }
+  [[nodiscard]] const Complex* row(std::size_t k) const {
+    return weights_.data() + k * num_channels_;
+  }
+
+ private:
+  std::size_t num_rows_;
+  std::size_t num_channels_;
+  std::vector<Complex> weights_;
 };
 
 struct WeightCacheConfig {
-  /// Entry cap; reaching it flushes the cache (wholesale eviction). The
-  /// default holds ~20 full 48x48 x 5-band images worth of weights.
+  /// Resident weight vectors (table rows) across all tables. The default
+  /// holds eight 180x180 tables, or ~22 full 48x48 x 5-band images.
   std::size_t capacity = 1u << 18;
   /// Plane distances are quantized to this step for the key; <= 0 keys on
   /// the exact bit pattern.
@@ -87,7 +114,7 @@ struct WeightCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
-  std::uint64_t flushes = 0;  ///< wholesale evictions
+  std::uint64_t flushes = 0;  ///< evicted tables
 
   [[nodiscard]] double hit_rate() const {
     const std::uint64_t total = hits + misses;
@@ -111,24 +138,28 @@ class WeightCache {
   [[nodiscard]] static std::uint64_t mask_bits(const ChannelMask& mask,
                                                std::size_t num_channels);
 
-  /// FNV-1a over the covariance matrix bytes + shape: entries solved
+  /// FNV-1a over the covariance matrix bytes + shape: tables solved
   /// against different noise fields never collide in practice.
   [[nodiscard]] static std::uint64_t fingerprint(const CMatrix& cov);
 
-  /// Copy the cached weights into `out` and count a hit; false (and a
-  /// counted miss) when absent.
-  [[nodiscard]] bool lookup(const WeightKey& key,
-                            std::vector<Complex>& out) const;
+  /// The resident table for `key` (counting its rows as hits), or null
+  /// (counting `rows` misses).
+  [[nodiscard]] std::shared_ptr<const WeightTable> find(const WeightKey& key,
+                                                        std::size_t rows) const;
 
-  /// Insert (first writer wins; a racing duplicate is dropped — both
-  /// computed identical bits).
-  void insert(const WeightKey& key, const std::vector<Complex>& weights);
+  /// Make `table` resident under `key` and return the resident table. The
+  /// first publisher wins: when `key` is already resident, that table is
+  /// returned and `table` is dropped.
+  std::shared_ptr<const WeightTable> publish(
+      const WeightKey& key, std::shared_ptr<const WeightTable> table);
 
+  /// Resident weight vectors (never above the capacity).
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] WeightCacheStats stats() const;
   /// Zero the counters (const: accounting is observational state, so a
   /// bench can reset it through the imager's read-only cache handle).
   void reset_stats() const;
+  /// Drop every table, counting each as a flush.
   void clear();
 
   /// Rebind the accounting counters (`weight_cache.hits` etc.) into an
@@ -139,12 +170,18 @@ class WeightCache {
   void attach_metrics(obs::MetricsRegistry& registry);
 
  private:
+  struct Entry {
+    WeightKey key;
+    std::shared_ptr<const WeightTable> table;
+  };
+
   void bind_counters(obs::MetricsRegistry& registry);
 
   WeightCacheConfig config_;
   runtime::sync::SharedMutex mutex_;
-  std::unordered_map<WeightKey, std::vector<Complex>, WeightKeyHash> entries_
-      EI_GUARDED_BY(mutex_);
+  /// Resident tables, oldest first (the eviction order).
+  std::vector<Entry> entries_ EI_GUARDED_BY(mutex_);
+  std::size_t resident_ EI_GUARDED_BY(mutex_) = 0;
   /// Owns the counters until attach_metrics points them elsewhere.
   std::shared_ptr<obs::MetricsRegistry> fallback_registry_;
   const obs::Counter* hits_ = nullptr;

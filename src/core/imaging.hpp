@@ -19,7 +19,6 @@
 #include "ml/tensor.hpp"
 #include "obs/observability.hpp"
 #include "runtime/thread_pool.hpp"
-#include "simd/isa.hpp"
 
 namespace echoimage::core {
 
@@ -73,25 +72,20 @@ struct ImagingConfig {
   /// 1 = single full-band image.
   std::size_t num_subbands = 5;
   units::MetersPerSecond speed_of_sound = echoimage::array::kSpeedOfSoundMps;
-  /// Workers for the per-grid imaging loop. 1 = the historical serial
-  /// path (no pool, no synchronization); 0 = one per hardware thread.
-  /// Any value produces bit-identical images: grids write disjoint output
-  /// slots and bands accumulate in a fixed order (see DESIGN.md,
-  /// "Threading model").
+  /// Workers for the per-channel front-end and the per-row pixel sweep.
+  /// 1 = the historical serial path (no pool, no synchronization); 0 = one
+  /// per hardware thread. Any value produces bit-identical images: tasks
+  /// write disjoint output slots and bands accumulate in a fixed order
+  /// (see DESIGN.md, "Threading model").
   std::size_t num_threads = 1;
-  /// Memoize steering + MVDR weight solves across beeps and bands (see
-  /// array/weight_cache.hpp). Numerically free: a hit returns exactly the
-  /// bits a recompute would produce.
+  /// Memoize steering + MVDR weight solves across beeps as one dense table
+  /// per band (see array/weight_cache.hpp). Numerically free: a hit
+  /// returns exactly the bits a recompute would produce.
   bool use_weight_cache = true;
   /// Plane-distance quantum of the cache key (<= 0: exact bit pattern).
   units::Meters weight_cache_quantum{1e-3};
+  /// Resident weight vectors (table rows) across all cached tables.
   std::size_t weight_cache_capacity = 1u << 18;
-  /// Numeric lane of the beamformer energy kernels. kF64 (default) is
-  /// bit-identical to the historical pipeline on every ISA lane; kF32
-  /// halves the energy-core bandwidth at a pinned relative-error bound
-  /// (DESIGN.md, "SIMD & numeric-lane model"). Weight solves, filters and
-  /// FFTs stay f64 either way; cache entries are keyed per lane.
-  echoimage::simd::NumericLane numeric_lane = echoimage::simd::NumericLane::kF64;
 };
 
 /// One acoustic image: a stack of per-spectral-band grids. Single-band
@@ -155,14 +149,23 @@ class AcousticImager {
       const echoimage::array::ChannelMask& active_mask = {}) const;
 
  private:
-  /// Energy image of one subband, accumulated into `image`.
-  void accumulate_band(std::size_t band,
-                       const MultiChannelSignal& filtered,
-                       const MultiChannelSignal& noise_f, bool have_noise,
-                       double plane_distance_m, double tau_direct_s,
-                       double tau_echo_s,
-                       const echoimage::array::ChannelMask& active_mask,
-                       Matrix2D& image) const;
+  /// Per-image sweep geometry shared by the bands (defined in imaging.cpp).
+  struct SweepPlan;
+
+  /// Per-band pixel energies (before the square root) of one capture —
+  /// the shared body of `construct` and `construct_bands`.
+  [[nodiscard]] std::vector<Matrix2D> band_energies(
+      const MultiChannelSignal& beep, units::Meters plane_distance,
+      double tau_direct_s, const MultiChannelSignal& noise_only,
+      double tau_echo_s,
+      const echoimage::array::ChannelMask& active_mask) const;
+  /// Energy image of one subband, written into `image`.
+  void image_band(std::size_t band, const MultiChannelSignal& filtered,
+                  const MultiChannelSignal& noise_f, bool have_noise,
+                  double plane_distance_m, double tau_direct_s,
+                  double tau_echo_s,
+                  const echoimage::array::ChannelMask& active_mask,
+                  SweepPlan& plan, Matrix2D& image) const;
   /// Shared front end: band-pass + direct-path suppression + noise filter.
   void prepare(const MultiChannelSignal& beep,
                const MultiChannelSignal& noise_only, double tau_direct_s,
@@ -172,7 +175,7 @@ class AcousticImager {
   ImagingConfig config_;
   ArrayGeometry geometry_;
   /// Shared across copies of this imager: the pool serializes overlapping
-  /// regions internally, and cache entries are copy-agnostic (the config,
+  /// regions internally, and cached tables are copy-agnostic (the config,
   /// and so the keys, are identical).
   std::shared_ptr<echoimage::runtime::ThreadPool> pool_;
   std::shared_ptr<echoimage::array::WeightCache> weight_cache_;

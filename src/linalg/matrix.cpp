@@ -63,15 +63,6 @@ std::vector<Complex> multiply(const CMatrix& a, const std::vector<Complex>& x) {
   return out;
 }
 
-void multiply_into(const CMatrix& a, const std::vector<Complex>& x,
-                   std::vector<Complex>& out) {
-  if (a.cols() != x.size())
-    throw std::invalid_argument("multiply_into: shape mismatch");
-  out.assign(a.rows(), Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) out[i] += a(i, j) * x[j];
-}
-
 Complex hdot(const std::vector<Complex>& x, const std::vector<Complex>& y) {
   if (x.size() != y.size())
     throw std::invalid_argument("hdot: length mismatch");

@@ -60,12 +60,6 @@ class CMatrix {
 [[nodiscard]] std::vector<Complex> multiply(const CMatrix& a,
                                             const std::vector<Complex>& x);
 
-/// Allocation-reusing matrix-vector product: out = A * x (resized to fit).
-/// Same operation order as `multiply`, so results are bit-identical.
-/// `out` must not alias `x`.
-void multiply_into(const CMatrix& a, const std::vector<Complex>& x,
-                   std::vector<Complex>& out);
-
 /// Inner product x^H y.
 [[nodiscard]] Complex hdot(const std::vector<Complex>& x,
                            const std::vector<Complex>& y);

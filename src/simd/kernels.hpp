@@ -4,9 +4,8 @@
 // for the active lane. Each kernel's semantics are defined by the scalar
 // reference implementation (kernels_scalar.cpp) — which reproduces the
 // historical per-site loops bit for bit — and every SIMD lane must match
-// the reference bitwise (f64 kernels) or bitwise-per-lane with a pinned
-// f32-vs-f64 bound (f32 kernels). tests/simd/kernel_diff_test.cpp enforces
-// this differentially on every supported lane.
+// the reference bitwise. tests/simd/kernel_diff_test.cpp enforces this
+// differentially on every supported lane.
 //
 // Layering: this header depends only on the standard library, so every
 // layer above (dsp, array, core) can call kernels without cycles. Raw
@@ -62,32 +61,6 @@ struct KernelTable {
   /// z1 = b1*in - a1*out + z2; z2 = b2*in - a2*out.
   void (*sos_section_f64)(double* x, std::size_t num_frames, std::size_t width,
                           const SosCoeffs& c, double* z1, double* z2);
-
-  /// Steered beamformer energy over [first, first+count):
-  /// e = sum_t |sum_m conj(w[m]) * ch[m][t]|^2, with the per-sample |y|^2
-  /// terms accumulated in ascending t order into one accumulator — the
-  /// exact association of the scalar reference, on every lane.
-  double (*steered_energy_f64)(const std::complex<double>* const* ch,
-                               std::size_t m, const std::complex<double>* w,
-                               std::size_t first, std::size_t count);
-
-  /// Incoherent (phase-free) energy: sum over channels (outer, ascending)
-  /// of sum over t in [first, first+count) (inner, ascending) of |ch[m][t]|^2.
-  /// The caller divides by the channel count.
-  double (*incoherent_energy_f64)(const std::complex<double>* const* ch,
-                                  std::size_t m, std::size_t first,
-                                  std::size_t count);
-
-  /// f32 numeric lane of steered_energy: `ch[m]` points at an interleaved
-  /// (re, im) float array; weights arrive pre-split as wre/wim. Same
-  /// sequential-t accumulation contract, in float.
-  float (*steered_energy_f32)(const float* const* ch, std::size_t m,
-                              const float* wre, const float* wim,
-                              std::size_t first, std::size_t count);
-
-  /// f32 numeric lane of incoherent_energy (same layout as above).
-  float (*incoherent_energy_f32)(const float* const* ch, std::size_t m,
-                                 std::size_t first, std::size_t count);
 };
 
 /// Table for the active lane (see isa.hpp for the resolution order).

@@ -147,145 +147,10 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double steered_energy_f64(const Complex* const* ch, std::size_t m,
-                          const Complex* w, std::size_t first,
-                          std::size_t count) {
-  double e = 0.0;
-  const auto* pw = reinterpret_cast<const double*>(w);
-  std::size_t t = first;
-  const std::size_t last = first + count;
-  for (; t + 4 <= last; t += 4) {
-    __m256d yre = _mm256_setzero_pd();
-    __m256d yim = _mm256_setzero_pd();
-    for (std::size_t c = 0; c < m; ++c) {
-      const __m256d wr = _mm256_set1_pd(pw[2 * c]);
-      const __m256d wi = _mm256_set1_pd(pw[2 * c + 1]);
-      __m256d xr, xi;
-      deinterleave4(reinterpret_cast<const double*>(ch[c]) + 2 * t, xr, xi);
-      yre = _mm256_add_pd(
-          yre, _mm256_add_pd(_mm256_mul_pd(wr, xr), _mm256_mul_pd(wi, xi)));
-      yim = _mm256_add_pd(
-          yim, _mm256_sub_pd(_mm256_mul_pd(wr, xi), _mm256_mul_pd(wi, xr)));
-    }
-    const __m256d nv =
-        _mm256_add_pd(_mm256_mul_pd(yre, yre), _mm256_mul_pd(yim, yim));
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, nv);
-    e += lanes[0];
-    e += lanes[1];
-    e += lanes[2];
-    e += lanes[3];
-  }
-  for (; t < last; ++t) {
-    Complex y(0.0, 0.0);
-    for (std::size_t c = 0; c < m; ++c) y += std::conj(w[c]) * ch[c][t];
-    e += std::norm(y);
-  }
-  return e;
-}
-
-double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
-                             std::size_t first, std::size_t count) {
-  double e = 0.0;
-  const std::size_t last = first + count;
-  for (std::size_t c = 0; c < m; ++c) {
-    const auto* pc = reinterpret_cast<const double*>(ch[c]);
-    std::size_t t = first;
-    for (; t + 4 <= last; t += 4) {
-      __m256d xr, xi;
-      deinterleave4(pc + 2 * t, xr, xi);
-      const __m256d nv =
-          _mm256_add_pd(_mm256_mul_pd(xr, xr), _mm256_mul_pd(xi, xi));
-      alignas(32) double lanes[4];
-      _mm256_store_pd(lanes, nv);
-      e += lanes[0];
-      e += lanes[1];
-      e += lanes[2];
-      e += lanes[3];
-    }
-    for (; t < last; ++t) e += std::norm(ch[c][t]);
-  }
-  return e;
-}
-
-/// Deinterleave eight consecutive f32 complexes (16 floats) preserving t
-/// order across the 128-bit lane boundary.
-inline void deinterleave8f(const float* p, __m256& re, __m256& im) {
-  const __m256 a = _mm256_loadu_ps(p);      // r0 i0 r1 i1 | r2 i2 r3 i3
-  const __m256 b = _mm256_loadu_ps(p + 8);  // r4 i4 r5 i5 | r6 i6 r7 i7
-  const __m256 t0 = _mm256_permute2f128_ps(a, b, 0x20);  // a.lo | b.lo
-  const __m256 t1 = _mm256_permute2f128_ps(a, b, 0x31);  // a.hi | b.hi
-  re = _mm256_shuffle_ps(t0, t1, _MM_SHUFFLE(2, 0, 2, 0));
-  im = _mm256_shuffle_ps(t0, t1, _MM_SHUFFLE(3, 1, 3, 1));
-}
-
-float steered_energy_f32(const float* const* ch, std::size_t m,
-                         const float* wre, const float* wim, std::size_t first,
-                         std::size_t count) {
-  float e = 0.0f;
-  std::size_t t = first;
-  const std::size_t last = first + count;
-  for (; t + 8 <= last; t += 8) {
-    __m256 yre = _mm256_setzero_ps();
-    __m256 yim = _mm256_setzero_ps();
-    for (std::size_t c = 0; c < m; ++c) {
-      const __m256 wr = _mm256_set1_ps(wre[c]);
-      const __m256 wi = _mm256_set1_ps(wim[c]);
-      __m256 xr, xi;
-      deinterleave8f(ch[c] + 2 * t, xr, xi);
-      yre = _mm256_add_ps(
-          yre, _mm256_add_ps(_mm256_mul_ps(wr, xr), _mm256_mul_ps(wi, xi)));
-      yim = _mm256_add_ps(
-          yim, _mm256_sub_ps(_mm256_mul_ps(wr, xi), _mm256_mul_ps(wi, xr)));
-    }
-    const __m256 nv =
-        _mm256_add_ps(_mm256_mul_ps(yre, yre), _mm256_mul_ps(yim, yim));
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, nv);
-    for (int l = 0; l < 8; ++l) e += lanes[l];
-  }
-  for (; t < last; ++t) {
-    float yre = 0.0f, yim = 0.0f;
-    for (std::size_t c = 0; c < m; ++c) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      yre += wre[c] * xr + wim[c] * xi;
-      yim += wre[c] * xi - wim[c] * xr;
-    }
-    e += yre * yre + yim * yim;
-  }
-  return e;
-}
-
-float incoherent_energy_f32(const float* const* ch, std::size_t m,
-                            std::size_t first, std::size_t count) {
-  float e = 0.0f;
-  const std::size_t last = first + count;
-  for (std::size_t c = 0; c < m; ++c) {
-    std::size_t t = first;
-    for (; t + 8 <= last; t += 8) {
-      __m256 xr, xi;
-      deinterleave8f(ch[c] + 2 * t, xr, xi);
-      const __m256 nv =
-          _mm256_add_ps(_mm256_mul_ps(xr, xr), _mm256_mul_ps(xi, xi));
-      alignas(32) float lanes[8];
-      _mm256_store_ps(lanes, nv);
-      for (int l = 0; l < 8; ++l) e += lanes[l];
-    }
-    for (; t < last; ++t) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      e += xr * xr + xi * xi;
-    }
-  }
-  return e;
-}
-
 const KernelTable kTable = {
     Isa::kAvx2,          &fft_stage_f64,      &complex_mul_f64,
     &complex_conj_mul_f64, &complex_scale_f64, &scale_f64,
-    &sos_section_f64,    &steered_energy_f64, &incoherent_energy_f64,
-    &steered_energy_f32, &incoherent_energy_f32,
+    &sos_section_f64,
 };
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // These loops ARE the kernel semantics: each one reproduces the historical
 // call-site loop (dsp/fft.cpp butterflies, dsp/biquad.cpp DF2T recurrence,
-// array/beamformer.cpp energy accumulators, ...) bit for bit, using the
+// ...) bit for bit, using the
 // same std::complex arithmetic the seed used. Every vector lane is tested
 // differentially against this file; when in doubt about association order,
 // this file wins.
@@ -61,63 +61,10 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double steered_energy_f64(const Complex* const* ch, std::size_t m,
-                          const Complex* w, std::size_t first,
-                          std::size_t count) {
-  double e = 0.0;
-  for (std::size_t t = first; t < first + count; ++t) {
-    Complex y(0.0, 0.0);
-    for (std::size_t c = 0; c < m; ++c) y += std::conj(w[c]) * ch[c][t];
-    e += std::norm(y);
-  }
-  return e;
-}
-
-double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
-                             std::size_t first, std::size_t count) {
-  double e = 0.0;
-  for (std::size_t c = 0; c < m; ++c)
-    for (std::size_t t = first; t < first + count; ++t)
-      e += std::norm(ch[c][t]);
-  return e;
-}
-
-float steered_energy_f32(const float* const* ch, std::size_t m,
-                         const float* wre, const float* wim, std::size_t first,
-                         std::size_t count) {
-  float e = 0.0f;
-  for (std::size_t t = first; t < first + count; ++t) {
-    float yre = 0.0f, yim = 0.0f;
-    for (std::size_t c = 0; c < m; ++c) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      // conj(w) * x, in the association order of the f64 reference.
-      yre += wre[c] * xr + wim[c] * xi;
-      yim += wre[c] * xi - wim[c] * xr;
-    }
-    e += yre * yre + yim * yim;
-  }
-  return e;
-}
-
-float incoherent_energy_f32(const float* const* ch, std::size_t m,
-                            std::size_t first, std::size_t count) {
-  float e = 0.0f;
-  for (std::size_t c = 0; c < m; ++c) {
-    for (std::size_t t = first; t < first + count; ++t) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      e += xr * xr + xi * xi;
-    }
-  }
-  return e;
-}
-
 const KernelTable kTable = {
     Isa::kScalar,        &fft_stage_f64,      &complex_mul_f64,
     &complex_conj_mul_f64, &complex_scale_f64, &scale_f64,
-    &sos_section_f64,    &steered_energy_f64, &incoherent_energy_f64,
-    &steered_energy_f32, &incoherent_energy_f32,
+    &sos_section_f64,
 };
 
 }  // namespace

@@ -122,146 +122,10 @@ void sos_section_f64(double* x, std::size_t num_frames, std::size_t width,
   }
 }
 
-double steered_energy_f64(const Complex* const* ch, std::size_t m,
-                          const Complex* w, std::size_t first,
-                          std::size_t count) {
-  double e = 0.0;
-  const auto* pw = reinterpret_cast<const double*>(w);
-  std::size_t t = first;
-  const std::size_t last = first + count;
-  for (; t + 2 <= last; t += 2) {
-    __m128d yre = _mm_setzero_pd();
-    __m128d yim = _mm_setzero_pd();
-    for (std::size_t c = 0; c < m; ++c) {
-      const __m128d wr = _mm_set1_pd(pw[2 * c]);
-      const __m128d wi = _mm_set1_pd(pw[2 * c + 1]);
-      const auto* pc = reinterpret_cast<const double*>(ch[c]);
-      const __m128d c0 = _mm_loadu_pd(pc + 2 * t);
-      const __m128d c1 = _mm_loadu_pd(pc + 2 * t + 2);
-      const __m128d xr = _mm_unpacklo_pd(c0, c1);  // [re_t, re_t+1]
-      const __m128d xi = _mm_unpackhi_pd(c0, c1);  // [im_t, im_t+1]
-      // conj(w)*x: re = wr*xr + wi*xi, im = wr*xi - wi*xr.
-      yre = _mm_add_pd(yre,
-                       _mm_add_pd(_mm_mul_pd(wr, xr), _mm_mul_pd(wi, xi)));
-      yim = _mm_add_pd(yim,
-                       _mm_sub_pd(_mm_mul_pd(wr, xi), _mm_mul_pd(wi, xr)));
-    }
-    const __m128d nv =
-        _mm_add_pd(_mm_mul_pd(yre, yre), _mm_mul_pd(yim, yim));
-    // Scalar adds in ascending t keep the reference accumulator bits.
-    alignas(16) double lanes[2];
-    _mm_store_pd(lanes, nv);
-    e += lanes[0];
-    e += lanes[1];
-  }
-  for (; t < last; ++t) {
-    Complex y(0.0, 0.0);
-    for (std::size_t c = 0; c < m; ++c) y += std::conj(w[c]) * ch[c][t];
-    e += std::norm(y);
-  }
-  return e;
-}
-
-double incoherent_energy_f64(const Complex* const* ch, std::size_t m,
-                             std::size_t first, std::size_t count) {
-  double e = 0.0;
-  const std::size_t last = first + count;
-  for (std::size_t c = 0; c < m; ++c) {
-    const auto* pc = reinterpret_cast<const double*>(ch[c]);
-    std::size_t t = first;
-    for (; t + 2 <= last; t += 2) {
-      const __m128d c0 = _mm_loadu_pd(pc + 2 * t);
-      const __m128d c1 = _mm_loadu_pd(pc + 2 * t + 2);
-      const __m128d xr = _mm_unpacklo_pd(c0, c1);
-      const __m128d xi = _mm_unpackhi_pd(c0, c1);
-      const __m128d nv =
-          _mm_add_pd(_mm_mul_pd(xr, xr), _mm_mul_pd(xi, xi));
-      alignas(16) double lanes[2];
-      _mm_store_pd(lanes, nv);
-      e += lanes[0];
-      e += lanes[1];
-    }
-    for (; t < last; ++t) e += std::norm(ch[c][t]);
-  }
-  return e;
-}
-
-float steered_energy_f32(const float* const* ch, std::size_t m,
-                         const float* wre, const float* wim, std::size_t first,
-                         std::size_t count) {
-  float e = 0.0f;
-  std::size_t t = first;
-  const std::size_t last = first + count;
-  for (; t + 4 <= last; t += 4) {
-    __m128 yre = _mm_setzero_ps();
-    __m128 yim = _mm_setzero_ps();
-    for (std::size_t c = 0; c < m; ++c) {
-      const __m128 wr = _mm_set1_ps(wre[c]);
-      const __m128 wi = _mm_set1_ps(wim[c]);
-      const __m128 c0 = _mm_loadu_ps(ch[c] + 2 * t);      // r0 i0 r1 i1
-      const __m128 c1 = _mm_loadu_ps(ch[c] + 2 * t + 4);  // r2 i2 r3 i3
-      const __m128 xr = _mm_shuffle_ps(c0, c1, _MM_SHUFFLE(2, 0, 2, 0));
-      const __m128 xi = _mm_shuffle_ps(c0, c1, _MM_SHUFFLE(3, 1, 3, 1));
-      yre = _mm_add_ps(yre,
-                       _mm_add_ps(_mm_mul_ps(wr, xr), _mm_mul_ps(wi, xi)));
-      yim = _mm_add_ps(yim,
-                       _mm_sub_ps(_mm_mul_ps(wr, xi), _mm_mul_ps(wi, xr)));
-    }
-    const __m128 nv = _mm_add_ps(_mm_mul_ps(yre, yre), _mm_mul_ps(yim, yim));
-    alignas(16) float lanes[4];
-    _mm_store_ps(lanes, nv);
-    e += lanes[0];
-    e += lanes[1];
-    e += lanes[2];
-    e += lanes[3];
-  }
-  for (; t < last; ++t) {
-    float yre = 0.0f, yim = 0.0f;
-    for (std::size_t c = 0; c < m; ++c) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      yre += wre[c] * xr + wim[c] * xi;
-      yim += wre[c] * xi - wim[c] * xr;
-    }
-    e += yre * yre + yim * yim;
-  }
-  return e;
-}
-
-float incoherent_energy_f32(const float* const* ch, std::size_t m,
-                            std::size_t first, std::size_t count) {
-  float e = 0.0f;
-  const std::size_t last = first + count;
-  for (std::size_t c = 0; c < m; ++c) {
-    std::size_t t = first;
-    for (; t + 4 <= last; t += 4) {
-      const __m128 c0 = _mm_loadu_ps(ch[c] + 2 * t);
-      const __m128 c1 = _mm_loadu_ps(ch[c] + 2 * t + 4);
-      const __m128 xr = _mm_shuffle_ps(c0, c1, _MM_SHUFFLE(2, 0, 2, 0));
-      const __m128 xi = _mm_shuffle_ps(c0, c1, _MM_SHUFFLE(3, 1, 3, 1));
-      const __m128 nv =
-          _mm_add_ps(_mm_mul_ps(xr, xr), _mm_mul_ps(xi, xi));
-      alignas(16) float lanes[4];
-      _mm_store_ps(lanes, nv);
-      e += lanes[0];
-      e += lanes[1];
-      e += lanes[2];
-      e += lanes[3];
-    }
-    for (; t < last; ++t) {
-      const float xr = ch[c][2 * t];
-      const float xi = ch[c][2 * t + 1];
-      e += xr * xr + xi * xi;
-    }
-  }
-  return e;
-}
-
 const KernelTable kTable = {
     Isa::kSse2,          &fft_stage_f64,      &complex_mul_f64,
     &complex_conj_mul_f64, &complex_scale_f64, &scale_f64,
-    &sos_section_f64,    &steered_energy_f64, &incoherent_energy_f64,
-    &steered_energy_f32, &incoherent_energy_f32,
+    &sos_section_f64,
 };
 
 }  // namespace

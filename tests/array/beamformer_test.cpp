@@ -164,13 +164,15 @@ TEST(NarrowbandBeamformer, SteeredEnergyWindowed) {
   const Direction src{kPi / 2.0, kPi / 2.0};
   const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 1024);
   const NarrowbandBeamformer bf(x, kFs, kF0, g);
-  const double e_full = bf.steered_energy(src, 256, 512, true);
+  const std::vector<Gate> gates{{256, 768}, {5000, 5010}};
+  const GateCovariances q(bf.analytic(), gates);
+  const double e_full = q.steered_energy(0, bf.weights_mvdr(src).data());
   // |analytic tone|^2 = 1 per sample.
   EXPECT_NEAR(e_full, 512.0, 30.0);
-  const double e_das = bf.steered_energy(src, 256, 512, false);
+  const double e_das = q.steered_energy(0, bf.weights_das(src).data());
   EXPECT_NEAR(e_das, e_full, 40.0);
   // Out-of-range window is empty.
-  EXPECT_DOUBLE_EQ(bf.steered_energy(src, 5000, 10, true), 0.0);
+  EXPECT_EQ(q.steered_energy(1, bf.weights_mvdr(src).data()), 0.0);
 }
 
 TEST(NarrowbandBeamformer, IncoherentEnergyIsDirectionFree) {
@@ -178,7 +180,8 @@ TEST(NarrowbandBeamformer, IncoherentEnergyIsDirectionFree) {
   const MultiChannelSignal x =
       plane_wave_tone(g, Direction{1.0, 1.3}, kF0, 512);
   const NarrowbandBeamformer bf(x, kFs, kF0, g);
-  const double e = bf.incoherent_energy(128, 256);
+  const std::vector<Gate> gate{{128, 384}};
+  const double e = GateCovariances(bf.analytic(), gate).incoherent_energy(0);
   EXPECT_NEAR(e, 256.0, 20.0);  // mean per-mic |analytic|^2 = 1
 }
 
@@ -227,8 +230,10 @@ TEST(NarrowbandBeamformer, PhysicallyRenderedEchoFavoursTrueDirection) {
                                 echoimage::array::make_respeaker_array());
   const Direction toward = direction_to_point(target);
   const Direction mirror{toward.theta + kPi, toward.phi};
-  const double e_toward = bf.steered_energy(toward, 0, echo.length(), false);
-  const double e_mirror = bf.steered_energy(mirror, 0, echo.length(), false);
+  const std::vector<Gate> whole{{0, echo.length()}};
+  const GateCovariances q(bf.analytic(), whole);
+  const double e_toward = q.steered_energy(0, bf.weights_das(toward).data());
+  const double e_mirror = q.steered_energy(0, bf.weights_das(mirror).data());
   EXPECT_GT(e_toward, 1.3 * e_mirror);
 }
 
@@ -261,35 +266,34 @@ TEST(SubbandMvdr, RecoversToneSteeredAtSource) {
   EXPECT_NEAR(r, 1.0 / std::sqrt(2.0), 0.08);
 }
 
-TEST(NarrowbandBeamformer, CopiesOutliveTheSourceOnBothNumericLanes) {
-  // Regression: the beamformer caches kernel-facing channel-pointer
-  // arrays; a member-wise copy left them aimed into the source object, so
-  // a copy whose source had died read freed memory. Copies (and copies of
-  // copies) must answer energy queries bit-identically after the source
-  // is gone.
+TEST(NarrowbandBeamformer, CopiesOutliveTheSource) {
+  // The beamformer owns plain value members (rule of zero): copies, copies
+  // of copies and moves answer every query bit-identically after the
+  // source is gone.
   const ArrayGeometry g = make_respeaker_array();
   const MultiChannelSignal x =
       plane_wave_tone(g, Direction{1.0, 1.2}, kF0, 512, 0.05);
-  for (const simd::NumericLane lane :
-       {simd::NumericLane::kF64, simd::NumericLane::kF32}) {
-    std::vector<ComplexSignal> chans;
-    for (const Signal& c : x.channels)
-      chans.push_back(echoimage::dsp::analytic_signal(c));
-    auto source = std::make_unique<NarrowbandBeamformer>(
-        chans, kFs, kF0, g, white_noise_covariance(g.num_mics()),
-        kSpeedOfSoundMps, ChannelMask{}, lane);
-    const auto w = source->weights_mvdr(Direction{1.0, 1.2});
-    const double want_steered = source->steered_energy(w, 0, 512);
-    const double want_incoherent = source->incoherent_energy(0, 512);
-    NarrowbandBeamformer copy = *source;
-    NarrowbandBeamformer assigned = copy;
-    assigned = *source;
-    source.reset();  // free the original buffers
-    EXPECT_EQ(copy.steered_energy(w, 0, 512), want_steered);
-    EXPECT_EQ(copy.incoherent_energy(0, 512), want_incoherent);
-    EXPECT_EQ(assigned.steered_energy(w, 0, 512), want_steered);
-    const NarrowbandBeamformer moved = std::move(assigned);
-    EXPECT_EQ(moved.steered_energy(w, 0, 512), want_steered);
+  std::vector<ComplexSignal> chans;
+  for (const Signal& c : x.channels)
+    chans.push_back(echoimage::dsp::analytic_signal(c));
+  auto source = std::make_unique<NarrowbandBeamformer>(
+      chans, kFs, kF0, g, white_noise_covariance(g.num_mics()));
+  const Direction look{1.0, 1.2};
+  const auto w = source->weights_mvdr(look);
+  const std::vector<Gate> whole{{0, 512}};
+  const double want =
+      GateCovariances(source->analytic(), whole).steered_energy(0, w.data());
+  NarrowbandBeamformer copy = *source;
+  NarrowbandBeamformer assigned = copy;
+  assigned = *source;
+  source.reset();  // free the original buffers
+  const NarrowbandBeamformer moved = std::move(assigned);
+  for (const NarrowbandBeamformer* bf :
+       {static_cast<const NarrowbandBeamformer*>(&copy), &moved}) {
+    EXPECT_EQ(bf->weights_mvdr(look), w);
+    EXPECT_EQ(
+        GateCovariances(bf->analytic(), whole).steered_energy(0, w.data()),
+        want);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 #include <stdexcept>
 
@@ -99,6 +101,69 @@ TEST(WhiteNoiseCovariance, IsIdentity) {
   const CMatrix r = white_noise_covariance(6);
   EXPECT_EQ(r.rows(), 6u);
   for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(r(i, i), Complex(1.0, 0.0));
+}
+
+/// Direct per-sample energies over a gate clipped to the channel length:
+/// sum_t |w^H x(t)|^2 and the mean per-channel sum_t |x_c(t)|^2.
+double direct_steered(const std::vector<ComplexSignal>& ch,
+                      const std::vector<Complex>& w, Gate g) {
+  const std::size_t n = ch.front().size();
+  double e = 0.0;
+  for (std::size_t t = std::min(g.first, n); t < std::min(g.last, n); ++t) {
+    Complex y(0.0, 0.0);
+    for (std::size_t c = 0; c < ch.size(); ++c) y += std::conj(w[c]) * ch[c][t];
+    e += std::norm(y);
+  }
+  return e;
+}
+
+double direct_incoherent(const std::vector<ComplexSignal>& ch, Gate g) {
+  const std::size_t n = ch.front().size();
+  double e = 0.0;
+  for (const ComplexSignal& c : ch)
+    for (std::size_t t = std::min(g.first, n); t < std::min(g.last, n); ++t)
+      e += std::norm(c[t]);
+  return e / static_cast<double>(ch.size());
+}
+
+TEST(GateCovariances, QuadraticFormsMatchDirectSums) {
+  // Gates inside one block, straddling blocks, block-aligned, clipped at
+  // the end, entirely past the end and empty: every energy equals the
+  // direct per-sample sum up to reassociation.
+  const std::vector<ComplexSignal> ch = independent_noise(6, 300, 5);
+  const std::vector<Gate> gates{{0, 1},     {3, 9},     {5, 21},  {16, 48},
+                                {17, 161},  {0, 300},   {250, 320}, {299, 300},
+                                {400, 450}, {40, 40},   {90, 60}};
+  const GateCovariances q(ch, gates);
+  std::mt19937 gen(9);
+  std::normal_distribution<double> d(0.0, 1.0);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<Complex> w(6);
+    for (Complex& v : w) v = Complex(d(gen), d(gen));
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+      const double want = direct_steered(ch, w, gates[g]);
+      EXPECT_NEAR(q.steered_energy(g, w.data()), want, 1e-12 * want)
+          << "gate " << g;
+    }
+  }
+  for (std::size_t g = 0; g < gates.size(); ++g) {
+    const double want = direct_incoherent(ch, gates[g]);
+    EXPECT_NEAR(q.incoherent_energy(g), want, 1e-12 * want) << "gate " << g;
+  }
+  // Empty and out-of-range gates are exactly zero.
+  const std::vector<Complex> ones(6, Complex(1.0, 0.0));
+  for (const std::size_t g : {8u, 9u, 10u}) {
+    EXPECT_EQ(q.steered_energy(g, ones.data()), 0.0);
+    EXPECT_EQ(q.incoherent_energy(g), 0.0);
+  }
+}
+
+TEST(GateCovariances, RejectsEmptyOrRaggedChannels) {
+  const std::vector<Gate> gate{{0, 4}};
+  EXPECT_THROW(GateCovariances({}, gate), std::invalid_argument);
+  std::vector<ComplexSignal> ragged = independent_noise(3, 8, 1);
+  ragged[1].resize(7);
+  EXPECT_THROW(GateCovariances(ragged, gate), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "core/imaging.hpp"
+#include "eval/dataset.hpp"
+#include "eval/roster.hpp"
 
 namespace echoimage::array {
 namespace {
@@ -14,7 +20,6 @@ namespace {
 WeightKey some_key() {
   WeightKey k;
   k.band = 1;
-  k.grid_index = 42;
   k.distance_q = 700;
   k.speed_bits = std::bit_cast<std::uint64_t>(343.0);
   k.mask_bits = 0x3f;
@@ -23,21 +28,29 @@ WeightKey some_key() {
   return k;
 }
 
-std::vector<Complex> some_weights(double seed = 1.0) {
-  return {Complex(seed, -0.5), Complex(0.25 * seed, 2.0), Complex(-seed, 0.0)};
+/// A table of `rows` weight vectors of 3 channels; entry (k, c) encodes
+/// seed, k and c so tables are distinguishable by content.
+std::shared_ptr<WeightTable> some_table(std::size_t rows, double seed = 1.0) {
+  auto t = std::make_shared<WeightTable>(rows, 3);
+  for (std::size_t k = 0; k < rows; ++k)
+    for (std::size_t c = 0; c < 3; ++c)
+      t->row(k)[c] = Complex(seed * 0.1 * static_cast<double>(k + 1),
+                             static_cast<double>(c) - seed);
+  return t;
 }
 
 TEST(WeightCache, HitMissAccountingIsExact) {
+  // Accounting is per weight vector, in bulk: one lookup of a 100-row
+  // table is 100 hits or 100 misses.
   WeightCache cache;
-  std::vector<Complex> out;
   const WeightKey k = some_key();
-  for (int i = 0; i < 5; ++i) EXPECT_FALSE(cache.lookup(k, out));
-  cache.insert(k, some_weights());
-  for (int i = 0; i < 7; ++i) EXPECT_TRUE(cache.lookup(k, out));
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(cache.find(k, 100), nullptr);
+  (void)cache.publish(k, some_table(100));
+  for (int i = 0; i < 7; ++i) EXPECT_NE(cache.find(k, 100), nullptr);
   const WeightCacheStats s = cache.stats();
-  EXPECT_EQ(s.misses, 5u);
-  EXPECT_EQ(s.hits, 7u);
-  EXPECT_EQ(s.insertions, 1u);
+  EXPECT_EQ(s.misses, 500u);
+  EXPECT_EQ(s.hits, 700u);
+  EXPECT_EQ(s.insertions, 100u);
   EXPECT_EQ(s.flushes, 0u);
   EXPECT_DOUBLE_EQ(s.hit_rate(), 7.0 / 12.0);
   cache.reset_stats();
@@ -48,34 +61,72 @@ TEST(WeightCache, HitMissAccountingIsExact) {
 
 TEST(WeightCache, HitReturnsTheInsertedBitsVerbatim) {
   WeightCache cache;
-  const std::vector<Complex> w = some_weights(0.1);  // 0.1 is inexact: real bits
-  cache.insert(some_key(), w);
-  std::vector<Complex> out;
-  ASSERT_TRUE(cache.lookup(some_key(), out));
-  ASSERT_EQ(out.size(), w.size());
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i].real()),
-              std::bit_cast<std::uint64_t>(w[i].real()));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i].imag()),
-              std::bit_cast<std::uint64_t>(w[i].imag()));
+  const auto t = some_table(4, 0.1);  // 0.1 is inexact: real bits
+  const auto resident = cache.publish(some_key(), t);
+  EXPECT_EQ(resident, t);
+  const auto hit = cache.find(some_key(), 4);
+  ASSERT_NE(hit, nullptr);
+  ASSERT_EQ(hit->num_rows(), 4u);
+  ASSERT_EQ(hit->num_channels(), 3u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(hit->row(k)[c].real()),
+                std::bit_cast<std::uint64_t>(t->row(k)[c].real()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(hit->row(k)[c].imag()),
+                std::bit_cast<std::uint64_t>(t->row(k)[c].imag()));
+    }
   }
 }
 
 TEST(WeightCache, SpeedOfSoundChangeNeverHitsStaleEntries) {
   // A drift recalibration changes c; every key component else equal, the
-  // old entry must be unreachable.
+  // old table must be unreachable.
   WeightCache cache;
   WeightKey k = some_key();
-  cache.insert(k, some_weights(1.0));
+  (void)cache.publish(k, some_table(2));
   WeightKey recal = k;
   recal.speed_bits = std::bit_cast<std::uint64_t>(346.12);
-  std::vector<Complex> out;
-  EXPECT_FALSE(cache.lookup(recal, out));
+  EXPECT_EQ(cache.find(recal, 2), nullptr);
   // Even a 1-ulp change in c misses: keys use the exact bit pattern.
   WeightKey ulp = k;
   ulp.speed_bits = k.speed_bits + 1;
-  EXPECT_FALSE(cache.lookup(ulp, out));
-  EXPECT_TRUE(cache.lookup(k, out));  // the original stays reachable
+  EXPECT_EQ(cache.find(ulp, 2), nullptr);
+  EXPECT_NE(cache.find(k, 2), nullptr);  // the original stays reachable
+}
+
+TEST(WeightCache, TablesWithDifferentKeysNeverAlias) {
+  // Every key component separates tables: publish one table per variant
+  // and check that each lookup returns its own.
+  const WeightCache quantizer;
+  std::vector<WeightKey> keys{some_key()};
+  const auto vary = [&](auto&& change) {
+    WeightKey k = some_key();
+    change(k);
+    keys.push_back(k);
+  };
+  vary([](WeightKey& k) { k.band = 2; });
+  vary([](WeightKey& k) { k.mask_bits = 0x3b; });  // channel 2 condemned
+  vary([](WeightKey& k) { k.cov_fingerprint ^= 1; });
+  vary([](WeightKey& k) {
+    k.speed_bits = std::bit_cast<std::uint64_t>(349.6);
+  });
+  vary([](WeightKey& k) { k.mvdr = false; });
+  vary([&](WeightKey& k) {
+    // One distance quantum further away.
+    k.distance_q = quantizer.quantize_distance(units::Meters{0.701});
+  });
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    for (std::size_t j = i + 1; j < keys.size(); ++j)
+      ASSERT_FALSE(keys[i] == keys[j]) << i << " vs " << j;
+
+  WeightCache cache;
+  std::vector<std::shared_ptr<const WeightTable>> published;
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    published.push_back(
+        cache.publish(keys[i], some_table(2, static_cast<double>(i + 1))));
+  EXPECT_EQ(cache.size(), 2 * keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(cache.find(keys[i], 2), published[i]) << "key " << i;
 }
 
 TEST(WeightCache, MaskBitsCannotAliasAcrossSubarrays) {
@@ -139,56 +190,80 @@ TEST(WeightCache, CovarianceFingerprintSeparatesNoiseFields) {
 }
 
 TEST(WeightCache, EvictionIsWholesaleNeverPartial) {
+  // Capacity counts weight vectors; eviction drops whole tables, oldest
+  // first, so a lookup never sees a partially evicted table.
   WeightCacheConfig cfg;
-  cfg.capacity = 4;
+  cfg.capacity = 10;
   WeightCache cache(cfg);
-  std::vector<Complex> out;
   WeightKey k = some_key();
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    k.grid_index = i;
-    cache.insert(k, some_weights(i + 1.0));
+  std::vector<std::shared_ptr<const WeightTable>> tables;
+  for (std::uint32_t band = 0; band < 2; ++band) {
+    k.band = band;
+    tables.push_back(cache.publish(k, some_table(4, band + 1.0)));
   }
-  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.size(), 8u);
   EXPECT_EQ(cache.stats().flushes, 0u);
-  // The 5th insert hits the cap: the whole cache flushes, then re-seeds
-  // with just the new entry — no lookup can ever see a half-evicted state.
-  k.grid_index = 99;
-  cache.insert(k, some_weights(9.0));
-  EXPECT_EQ(cache.size(), 1u);
+  // A third 4-row table would make 12 > 10: the oldest table goes, whole.
+  k.band = 2;
+  (void)cache.publish(k, some_table(4, 3.0));
+  EXPECT_EQ(cache.size(), 8u);
   EXPECT_EQ(cache.stats().flushes, 1u);
-  EXPECT_TRUE(cache.lookup(k, out));
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    k.grid_index = i;
-    EXPECT_FALSE(cache.lookup(k, out));
+  k.band = 0;
+  EXPECT_EQ(cache.find(k, 4), nullptr);
+  k.band = 1;
+  EXPECT_EQ(cache.find(k, 4), tables[1]);
+  // The evicted table stays valid for anyone still holding it.
+  EXPECT_EQ(tables[0]->row(3)[0].real(), 0.4);
+}
+
+TEST(WeightCache, PublishedTableIsNeverEvictedAndResidencyStaysBounded) {
+  WeightCacheConfig cfg;
+  cfg.capacity = 10;
+  WeightCache cache(cfg);
+  WeightKey k = some_key();
+  // Publishing sizes 3, 3, 8, 2, 6, 10 in turn: after each publish the
+  // just-published table is resident and the total stays within capacity.
+  const std::size_t sizes[] = {3, 3, 8, 2, 6, 10};
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    k.band = i;
+    const auto t = some_table(sizes[i], i + 1.0);
+    EXPECT_EQ(cache.publish(k, t), t);
+    EXPECT_EQ(cache.find(k, sizes[i]), t) << "publish " << i;
+    EXPECT_LE(cache.size(), cfg.capacity) << "publish " << i;
   }
+  EXPECT_EQ(cache.size(), 10u);  // the 10-row table fills it alone
+  // A table larger than the whole capacity is handed back, not kept, and
+  // evicts nothing.
+  k.band = 99;
+  const auto huge = some_table(11);
+  EXPECT_EQ(cache.publish(k, huge), huge);
+  EXPECT_EQ(cache.find(k, 11), nullptr);
+  EXPECT_EQ(cache.size(), 10u);
 }
 
 TEST(WeightCache, ReinsertingAnExistingKeyNeverFlushes) {
   WeightCacheConfig cfg;
-  cfg.capacity = 2;
+  cfg.capacity = 4;
   WeightCache cache(cfg);
   WeightKey k = some_key();
-  cache.insert(k, some_weights(1.0));
-  k.grid_index = 2;
-  cache.insert(k, some_weights(2.0));
-  EXPECT_EQ(cache.size(), 2u);
-  // At capacity, but this key already exists: first writer wins, no flush.
-  cache.insert(k, some_weights(3.0));
-  EXPECT_EQ(cache.size(), 2u);
+  const auto original = cache.publish(k, some_table(4, 2.0));
+  EXPECT_EQ(cache.size(), 4u);
+  // At capacity, but this key is already resident: first publisher wins,
+  // nothing is evicted and nothing is counted as inserted.
+  EXPECT_EQ(cache.publish(k, some_table(4, 3.0)), original);
+  EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.stats().flushes, 0u);
-  std::vector<Complex> out;
-  ASSERT_TRUE(cache.lookup(k, out));
-  EXPECT_EQ(out[0].real(), 2.0);  // the original entry survived
+  EXPECT_EQ(cache.stats().insertions, 4u);
+  EXPECT_EQ(cache.find(k, 4), original);
 }
 
 TEST(WeightCache, ClearEmptiesAndCountsAFlush) {
   WeightCache cache;
-  cache.insert(some_key(), some_weights());
+  (void)cache.publish(some_key(), some_table(3));
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().flushes, 1u);
-  std::vector<Complex> out;
-  EXPECT_FALSE(cache.lookup(some_key(), out));
+  EXPECT_EQ(cache.find(some_key(), 3), nullptr);
 }
 
 TEST(WeightCache, ZeroCapacityIsRejected) {
@@ -198,33 +273,60 @@ TEST(WeightCache, ZeroCapacityIsRejected) {
 }
 
 TEST(WeightCache, ConcurrentLookupsAndInsertsStayConsistent) {
-  // Hammer the cache from several threads (the TSan-labeled suite runs this
-  // under ThreadSanitizer). Every hit must return the full inserted vector.
+  // Racing publishers of the same keys (the TSan-labeled suite runs this
+  // under ThreadSanitizer): each key ends with exactly one resident table,
+  // and every thread is handed that table.
   WeightCache cache;
-  constexpr int kKeys = 32;
-  constexpr int kIters = 200;
-  const auto worker = [&](unsigned salt) {
-    std::vector<Complex> out;
+  constexpr std::uint32_t kKeys = 4;
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::shared_ptr<const WeightTable>>> seen(
+      kThreads, std::vector<std::shared_ptr<const WeightTable>>(kKeys));
+  const auto worker = [&](int t) {
     WeightKey k = some_key();
-    for (int it = 0; it < kIters; ++it) {
-      k.grid_index = static_cast<std::uint32_t>((it + salt) % kKeys);
-      if (cache.lookup(k, out)) {
-        ASSERT_EQ(out.size(), 3u);
-        EXPECT_EQ(out[0].real(), static_cast<double>(k.grid_index));
-      } else {
-        cache.insert(k, {Complex(k.grid_index, 0.0), Complex(0, 1),
-                         Complex(2, 2)});
-      }
+    for (std::uint32_t i = 0; i < kKeys; ++i) {
+      k.band = i;
+      auto hit = cache.find(k, 8);
+      if (hit == nullptr) hit = cache.publish(k, some_table(8, t + 1.0));
+      ASSERT_EQ(hit->num_rows(), 8u);
+      seen[t][i] = hit;
     }
   };
   std::vector<std::thread> threads;
-  for (unsigned t = 0; t < 4; ++t) threads.emplace_back(worker, t * 7);
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
   for (auto& t : threads) t.join();
-  EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(cache.size(), 8u * kKeys);
+  WeightKey k = some_key();
+  for (std::uint32_t i = 0; i < kKeys; ++i) {
+    k.band = i;
+    const auto resident = cache.find(k, 8);
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t][i], resident);
+  }
   const WeightCacheStats s = cache.stats();
-  // Exactly one insertion can win per key; duplicates are dropped.
-  EXPECT_EQ(s.hits + s.misses, 4u * kIters);
-  EXPECT_GE(s.insertions, static_cast<std::uint64_t>(kKeys));
+  EXPECT_EQ(s.insertions, 8u * kKeys);  // one winning publish per key
+}
+
+TEST(WeightCache, ThreeBeepBatchAtOneDistanceHitsTwoThirds) {
+  // The deployment pattern: a batch of beeps shares one distance estimate,
+  // so the first image solves every weight vector and the next two replay
+  // them.
+  const auto geometry = make_respeaker_array();
+  const auto users =
+      echoimage::eval::make_users(echoimage::eval::make_roster(), 7);
+  const echoimage::eval::DataCollector collector(
+      echoimage::sim::CaptureConfig{}, geometry, 7);
+  const auto batch = collector.collect(users[0], {}, 3);
+  ASSERT_EQ(batch.beeps.size(), 3u);
+  echoimage::core::ImagingConfig cfg;
+  cfg.grid_size = 8;
+  cfg.num_subbands = 2;
+  const echoimage::core::AcousticImager imager(cfg, geometry);
+  for (const auto& beep : batch.beeps)
+    (void)imager.construct_bands(beep, units::Meters{0.7}, 0.0002,
+                                 batch.noise_only);
+  const WeightCacheStats s = imager.weight_cache()->stats();
+  EXPECT_EQ(s.misses, 2u * 64u);  // one table per band
+  EXPECT_EQ(s.hits, 2u * 2u * 64u);
+  EXPECT_DOUBLE_EQ(s.hit_rate(), 2.0 / 3.0);
 }
 
 }  // namespace
