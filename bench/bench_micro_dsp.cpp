@@ -97,16 +97,6 @@ std::vector<Kernel> make_kernels() {
                        }});
   }
 
-  // FFT, Bluestein path (arbitrary capture lengths).
-  {
-    const std::size_t n = 2880;
-    const dsp::ComplexSignal x(n, Complex(1.0, 0.5));
-    kernels.push_back({"fft_bluestein", n, [x]() {
-                         const auto y = dsp::fft(x);
-                         return digest(y.data(), y.size());
-                       }});
-  }
-
   // Zero-phase band-pass, single channel (the seed scalar path) and the
   // frame-interleaved multi-channel kernel the imaging front end uses.
   {

@@ -73,18 +73,6 @@ CMatrix masked_covariance(const CMatrix& full, const ChannelMask& mask) {
   return out;
 }
 
-CMatrix spatial_covariance(const std::vector<ComplexSignal>& channels,
-                           std::size_t first, std::size_t count,
-                           const ChannelMask& mask) {
-  return spatial_covariance(select_channels(channels, mask), first, count);
-}
-
-CMatrix normalized_covariance(const std::vector<ComplexSignal>& channels,
-                              std::size_t first, std::size_t count,
-                              const ChannelMask& mask) {
-  return normalized_covariance(select_channels(channels, mask), first, count);
-}
-
 namespace {
 
 /// acc[p] += x_i(t) conj(x_j(t)) over the packed upper triangle (i <= j),

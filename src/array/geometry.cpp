@@ -92,23 +92,6 @@ ArrayGeometry make_respeaker_array() {
   return make_uniform_circular_array(6, units::Meters{0.05});
 }
 
-ArrayGeometry make_uniform_linear_array(std::size_t num_mics,
-                                        units::Meters spacing) {
-  if (num_mics < 2)
-    throw std::invalid_argument("uniform linear array: need >= 2 mics");
-  if (spacing.value() <= 0.0)
-    throw std::invalid_argument("uniform linear array: spacing must be > 0");
-  std::vector<Vec3> mics;
-  mics.reserve(num_mics);
-  const double spacing_m = spacing.value();
-  const double half =
-      0.5 * static_cast<double>(num_mics - 1) * spacing_m;
-  for (std::size_t m = 0; m < num_mics; ++m)
-    mics.push_back(
-        Vec3{static_cast<double>(m) * spacing_m - half, 0.0, 0.0});
-  return ArrayGeometry(std::move(mics));
-}
-
 units::MetersPerSecond speed_of_sound_at(units::Celsius temperature) {
   return units::MetersPerSecond{
       331.3 * std::sqrt(1.0 + temperature.value() / 273.15)};

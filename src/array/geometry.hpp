@@ -106,12 +106,6 @@ class ArrayGeometry {
 /// ReSpeaker-like default: 6 mics, 5 cm adjacent spacing.
 [[nodiscard]] ArrayGeometry make_respeaker_array();
 
-/// Uniform linear array along the x axis, centered on the origin — the
-/// textbook geometry, useful for tests and for devices with bar-style
-/// microphone layouts.
-[[nodiscard]] ArrayGeometry make_uniform_linear_array(std::size_t num_mics,
-                                                      units::Meters spacing);
-
 /// Far-field minimum distance (paper Eq. 1): L >= 2 d^2 / lambda, where d is
 /// the array aperture and lambda the wavelength of `freq`.
 [[nodiscard]] units::Meters far_field_min_distance(

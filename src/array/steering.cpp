@@ -27,13 +27,6 @@ Vec3 propagation_vector(const Direction& dir) {
   return line_of_sight(dir) * -1.0;
 }
 
-units::Seconds tdoa(const ArrayGeometry& geom, const Direction& dir,
-                    std::size_t mic, units::MetersPerSecond speed_of_sound) {
-  const Vec3 v = propagation_vector(dir);
-  // Meters / MetersPerSecond -> Seconds; the same double division as ever.
-  return units::Meters{v.dot(geom.mic(mic))} / speed_of_sound;
-}
-
 std::vector<double> tdoas(const ArrayGeometry& geom, const Direction& dir,
                           units::MetersPerSecond speed_of_sound) {
   std::vector<double> out(geom.num_mics());
@@ -47,15 +40,8 @@ std::vector<double> tdoas(const ArrayGeometry& geom, const Direction& dir,
 std::vector<Complex> steering_vector(const ArrayGeometry& geom,
                                      const Direction& dir, double omega,
                                      units::MetersPerSecond speed_of_sound) {
-  std::vector<Complex> a(geom.num_mics());
-  const Vec3 v = propagation_vector(dir);
-  const double c = speed_of_sound.value();
-  for (std::size_t m = 0; m < geom.num_mics(); ++m) {
-    // a_m = exp(-j k^T p_m) with k = (omega / c) v(Omega): conjugate of
-    // the arriving wave's phase so that w ~ a aligns the channels.
-    const double phase = -(omega / c) * v.dot(geom.mic(m));
-    a[m] = std::polar(1.0, phase);
-  }
+  std::vector<Complex> a;
+  steering_vector_into(geom, dir, omega, speed_of_sound, a);
   return a;
 }
 
@@ -73,23 +59,11 @@ void steering_vector_into(const ArrayGeometry& geom, const Direction& dir,
   const Vec3 v = propagation_vector(dir);
   const double c = speed_of_sound.value();
   for (std::size_t m = 0; m < geom.num_mics(); ++m) {
+    // a_m = exp(-j k^T p_m) with k = (omega / c) v(Omega): conjugate of
+    // the arriving wave's phase so that w ~ a aligns the channels.
     const double phase = -(omega / c) * v.dot(geom.mic(m));
     out[m] = std::polar(1.0, phase);
   }
-}
-
-std::vector<Complex> steering_vector(const ArrayGeometry& geom,
-                                     const Direction& dir, double omega,
-                                     const ChannelMask& mask,
-                                     units::MetersPerSecond speed_of_sound) {
-  return steering_vector(geom.subarray(mask), dir, omega, speed_of_sound);
-}
-
-std::vector<Complex> steering_vector_hz(const ArrayGeometry& geom,
-                                        const Direction& dir, units::Hertz freq,
-                                        const ChannelMask& mask,
-                                        units::MetersPerSecond speed_of_sound) {
-  return steering_vector_hz(geom.subarray(mask), dir, freq, speed_of_sound);
 }
 
 }  // namespace echoimage::array

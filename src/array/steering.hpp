@@ -33,18 +33,14 @@ struct Direction {
 /// theta, cos phi]^T (paper Eq. 5) — points from the source toward the array.
 [[nodiscard]] Vec3 propagation_vector(const Direction& dir);
 
-/// TDOA of microphone m relative to the origin: tau_m = v^T(Omega) p_m / c
-/// (positive = arrives later than the origin). For a plane wave with
-/// propagation direction v the field is s(t - (p . v)/c), so a microphone
-/// on the source side (p . v < 0) hears the wavefront early. Note the
+/// TDOAs of all M microphones relative to the origin, as raw seconds:
+/// tau_m = v^T(Omega) p_m / c (positive = arrives later than the origin).
+/// For a plane wave with propagation direction v the field is
+/// s(t - (p . v)/c), so a microphone on the source side (p . v < 0) hears
+/// the wavefront early. Note the
 /// paper's Eq. 6 carries the opposite sign; combined with its Eq. 7/8 the
 /// two sign flips cancel, and this library uses the physically anchored
 /// convention throughout (validated against the renderer in the tests).
-[[nodiscard]] units::Seconds tdoa(
-    const ArrayGeometry& geom, const Direction& dir, std::size_t mic,
-    units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
-
-/// All M TDOAs, as raw seconds (the beamformers' hot-path input).
 [[nodiscard]] std::vector<double> tdoas(
     const ArrayGeometry& geom, const Direction& dir,
     units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
@@ -64,22 +60,9 @@ struct Direction {
     units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
 
 /// Allocation-reusing variant for hot loops: the steering vector written
-/// into `out` (resized to fit). Bit-identical to `steering_vector`.
+/// into `out` (resized to fit).
 void steering_vector_into(const ArrayGeometry& geom, const Direction& dir,
                           double omega, units::MetersPerSecond speed_of_sound,
                           std::vector<Complex>& out);
-
-/// Masked steering vectors: the steering vector of the surviving subarray
-/// (entries only for active microphones, order preserved) — pairs with the
-/// masked covariance so MVDR runs on healthy channels alone. An empty mask
-/// is the full array.
-[[nodiscard]] std::vector<Complex> steering_vector(
-    const ArrayGeometry& geom, const Direction& dir, double omega,
-    const ChannelMask& mask,
-    units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
-[[nodiscard]] std::vector<Complex> steering_vector_hz(
-    const ArrayGeometry& geom, const Direction& dir, units::Hertz freq,
-    const ChannelMask& mask,
-    units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
 
 }  // namespace echoimage::array

@@ -65,13 +65,17 @@ Signal DistanceEstimator::beep_envelope(
         have_noise
             ? echoimage::array::noise_covariance_of(bandpass(noise_only))
             : echoimage::array::white_noise_covariance(geometry_.num_mics());
-    const NarrowbandBeamformer bf(filtered, config_.sample_rate,
-                                  config_.chirp.center_frequency(),
-                                  geometry_, cov, config_.speed_of_sound,
-                                  active_mask);
-    steered = config_.mode == SteeringMode::kMvdr
-                  ? bf.steer(config_.steer)
-                  : bf.steer_das(config_.steer);
+    // Analytic signals of the active channels only (an empty mask covers
+    // every channel); masked channels stay empty and the beamformer, which
+    // also validates the mask, never reads them.
+    std::vector<ComplexSignal> analytic(filtered.num_channels());
+    for (std::size_t c = 0; c < analytic.size(); ++c)
+      if (c >= active_mask.size() || active_mask[c])
+        analytic[c] = echoimage::dsp::analytic_signal(filtered.channels[c]);
+    const NarrowbandBeamformer bf(std::move(analytic),
+                                  config_.chirp.center_frequency(), geometry_,
+                                  cov, config_.speed_of_sound, active_mask);
+    steered = bf.steer(config_.steer, config_.mode == SteeringMode::kMvdr);
   }
 
   Signal env = echoimage::dsp::matched_filter_envelope(steered,

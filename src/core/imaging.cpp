@@ -241,7 +241,7 @@ void AcousticImager::image_band(
   // The fingerprint is taken before the beamformer's internal diagonal
   // loading; it only needs to identify the noise field, not mirror it.
   const std::uint64_t cov_fp = echoimage::array::WeightCache::fingerprint(cov);
-  const NarrowbandBeamformer bf(std::move(channels), config_.sample_rate,
+  const NarrowbandBeamformer bf(std::move(channels),
                                 units::Hertz{subband_centers_[band]}, geometry_,
                                 cov, config_.speed_of_sound, active_mask);
 

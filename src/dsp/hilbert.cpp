@@ -25,13 +25,6 @@ ComplexSignal analytic_signal(std::span<const Sample> x) {
   return spec;
 }
 
-Signal envelope(std::span<const Sample> x) {
-  const ComplexSignal a = analytic_signal(x);
-  Signal out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = std::abs(a[i]);
-  return out;
-}
-
 Signal moving_average(std::span<const Sample> x, std::size_t len) {
   if (x.empty()) return {};
   if (len <= 1) return Signal(x.begin(), x.end());
@@ -56,11 +49,6 @@ Signal moving_average(std::span<const Sample> x, std::size_t len) {
     out[static_cast<std::size_t>(i)] = acc / static_cast<double>(len);
   }
   return out;
-}
-
-Signal smoothed_envelope(std::span<const Sample> x, std::size_t smooth_len) {
-  const Signal env = envelope(x);
-  return moving_average(env, smooth_len);
 }
 
 }  // namespace echoimage::dsp

@@ -1,4 +1,4 @@
-// Analytic signal and envelope detection.
+// Analytic signal and envelope smoothing.
 //
 // The distance estimator (paper Sec. V-B) detects echo onsets from the
 // envelope E_l(t) of the matched-filter output; the narrowband beamformer
@@ -16,14 +16,6 @@ namespace echoimage::dsp {
 /// to a power of two internally and truncates back, so arbitrary lengths are
 /// accepted.
 [[nodiscard]] ComplexSignal analytic_signal(std::span<const Sample> x);
-
-/// Instantaneous amplitude |analytic_signal(x)|.
-[[nodiscard]] Signal envelope(std::span<const Sample> x);
-
-/// Envelope followed by a centered moving-average smoother of `smooth_len`
-/// samples (odd lengths keep the delay at zero; even lengths are rounded up).
-[[nodiscard]] Signal smoothed_envelope(std::span<const Sample> x,
-                                       std::size_t smooth_len);
 
 /// Centered moving average with reflected edges.
 [[nodiscard]] Signal moving_average(std::span<const Sample> x,

@@ -7,26 +7,6 @@
 
 namespace echoimage::dsp {
 
-Signal matched_filter(std::span<const Sample> received,
-                      std::span<const Sample> tmpl) {
-  if (received.empty() || tmpl.empty()) return Signal(received.size(), 0.0);
-  const std::size_t n = received.size() + tmpl.size() - 1;
-  const std::size_t m = next_pow2(n);
-  ComplexSignal fr(m, Complex(0.0, 0.0));
-  ComplexSignal ft(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < received.size(); ++i)
-    fr[i] = Complex(received[i], 0.0);
-  for (std::size_t i = 0; i < tmpl.size(); ++i) ft[i] = Complex(tmpl[i], 0.0);
-  fft_pow2_in_place(fr, false);
-  fft_pow2_in_place(ft, false);
-  // Correlation: IFFT(R * conj(S)); non-negative lags land at the front.
-  simd::kernels().complex_conj_mul_f64(fr.data(), ft.data(), m);
-  fft_pow2_in_place(fr, true);
-  Signal out(received.size());
-  for (std::size_t i = 0; i < received.size(); ++i) out[i] = fr[i].real();
-  return out;
-}
-
 ComplexSignal matched_filter_complex(const ComplexSignal& received,
                                      std::span<const Sample> tmpl) {
   if (received.empty() || tmpl.empty())
@@ -39,6 +19,7 @@ ComplexSignal matched_filter_complex(const ComplexSignal& received,
   for (std::size_t i = 0; i < tmpl.size(); ++i) ft[i] = Complex(tmpl[i], 0.0);
   fft_pow2_in_place(fr, false);
   fft_pow2_in_place(ft, false);
+  // Correlation: IFFT(R * conj(S)); non-negative lags land at the front.
   simd::kernels().complex_conj_mul_f64(fr.data(), ft.data(), m);
   fft_pow2_in_place(fr, true);
   fr.resize(received.size());
@@ -47,21 +28,9 @@ ComplexSignal matched_filter_complex(const ComplexSignal& received,
 
 Signal matched_filter_envelope(const ComplexSignal& received,
                                std::span<const Sample> tmpl) {
-  if (received.empty() || tmpl.empty()) return Signal(received.size(), 0.0);
-  const std::size_t n = received.size() + tmpl.size() - 1;
-  const std::size_t m = next_pow2(n);
-  ComplexSignal fr(m, Complex(0.0, 0.0));
-  ComplexSignal ft(m, Complex(0.0, 0.0));
-  for (std::size_t i = 0; i < received.size(); ++i) fr[i] = received[i];
-  for (std::size_t i = 0; i < tmpl.size(); ++i) ft[i] = Complex(tmpl[i], 0.0);
-  fft_pow2_in_place(fr, false);
-  fft_pow2_in_place(ft, false);
-  simd::kernels().complex_conj_mul_f64(fr.data(), ft.data(), m);
-  fft_pow2_in_place(fr, true);
-  // Correlating the analytic signal with a real template yields the analytic
-  // correlation, so the magnitude is exactly the correlation envelope.
-  Signal out(received.size());
-  for (std::size_t i = 0; i < received.size(); ++i) out[i] = std::abs(fr[i]);
+  const ComplexSignal c = matched_filter_complex(received, tmpl);
+  Signal out(c.size());
+  for (std::size_t i = 0; i < c.size(); ++i) out[i] = std::abs(c[i]);
   return out;
 }
 

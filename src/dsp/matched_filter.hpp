@@ -11,23 +11,20 @@
 
 namespace echoimage::dsp {
 
-/// Matched-filter output aligned so that index i corresponds to an echo
-/// whose *onset* is at sample i of `received` (i.e. the correlation lag where
-/// the template starts). Output length equals `received.size()`.
-[[nodiscard]] Signal matched_filter(std::span<const Sample> received,
-                                    std::span<const Sample> tmpl);
-
-/// Matched filter of a complex (analytic) signal against a real template;
-/// returns |output| which is already an envelope, avoiding a second Hilbert
-/// pass. Output length equals `received.size()`.
-[[nodiscard]] Signal matched_filter_envelope(const ComplexSignal& received,
-                                             std::span<const Sample> tmpl);
-
 /// Complex matched-filter output of an analytic signal (the compressed
-/// pulse train). Beamforming weights can be applied to the compressed
-/// channels directly — correlation and beamforming are both linear and
-/// time-invariant, so the order is interchangeable.
+/// pulse train), aligned so that index i corresponds to an echo whose
+/// *onset* is at sample i of `received` (the correlation lag where the
+/// template starts). Output length equals `received.size()`. Beamforming
+/// weights can be applied to the compressed channels directly — correlation
+/// and beamforming are both linear and time-invariant, so the order is
+/// interchangeable.
 [[nodiscard]] ComplexSignal matched_filter_complex(
     const ComplexSignal& received, std::span<const Sample> tmpl);
+
+/// |matched_filter_complex(received, tmpl)|: correlating the analytic
+/// signal with a real template yields the analytic correlation, so the
+/// magnitude is already the correlation envelope (no second Hilbert pass).
+[[nodiscard]] Signal matched_filter_envelope(const ComplexSignal& received,
+                                             std::span<const Sample> tmpl);
 
 }  // namespace echoimage::dsp

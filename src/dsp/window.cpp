@@ -47,10 +47,4 @@ Signal make_window(WindowType type, std::size_t n, double tukey_alpha) {
   return w;
 }
 
-void apply_window(Signal& x, std::span<const Sample> w) {
-  if (x.size() != w.size())
-    throw std::invalid_argument("apply_window: length mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= w[i];
-}
-
 }  // namespace echoimage::dsp

@@ -1,5 +1,4 @@
-// Window functions used for chirp shaping, STFT analysis, and envelope
-// smoothing.
+// Window functions used for chirp shaping.
 #pragma once
 
 #include <cstddef>
@@ -26,9 +25,5 @@ enum class WindowType {
 /// (periodicity is not needed for our uses).
 [[nodiscard]] Signal make_window(WindowType type, std::size_t n,
                                  double tukey_alpha = 0.5);
-
-/// Multiply x by the window in place. Throws std::invalid_argument on
-/// length mismatch.
-void apply_window(Signal& x, std::span<const Sample> w);
 
 }  // namespace echoimage::dsp

@@ -189,10 +189,4 @@ double RocCurve::eer() const {
   return 1.0 - points_.back().tpr;  // curves that never cross
 }
 
-double RocCurve::fpr_at_tpr(double tpr_floor) const {
-  for (const RocPoint& p : points_)
-    if (p.tpr >= tpr_floor) return p.fpr;
-  return 1.0;
-}
-
 }  // namespace echoimage::eval

@@ -81,10 +81,6 @@ class RocCurve {
   /// between bracketing operating points).
   [[nodiscard]] double eer() const;
 
-  /// Smallest FPR achievable with TPR >= the given floor (1.0 when the
-  /// floor is unreachable).
-  [[nodiscard]] double fpr_at_tpr(double tpr_floor) const;
-
  private:
   std::vector<RocPoint> points_;  ///< sorted by descending threshold
 };

@@ -1,6 +1,6 @@
 // Small dense matrix types for array processing.
 //
-// MVDR weights (paper Eq. 8) need Hermitian solves of M x M covariance
+// MVDR weights (paper Eq. 8) need the inverse of M x M covariance
 // matrices where M is the microphone count (6 for a ReSpeaker-class array),
 // so a simple dense row-major implementation is the right tool.
 #pragma once
@@ -36,12 +36,6 @@ class CMatrix {
   /// Identity matrix of size n.
   [[nodiscard]] static CMatrix identity(std::size_t n);
 
-  /// Conjugate transpose.
-  [[nodiscard]] CMatrix hermitian() const;
-
-  /// Frobenius norm.
-  [[nodiscard]] double frobenius_norm() const;
-
   /// this += alpha * I (diagonal loading). Throws when not square.
   void add_diagonal(double alpha);
 
@@ -67,18 +61,6 @@ class CMatrix {
 /// Outer product x y^H as a matrix.
 [[nodiscard]] CMatrix outer(const std::vector<Complex>& x,
                             const std::vector<Complex>& y);
-
-/// Solve A x = b for Hermitian positive-definite A via Cholesky
-/// factorization. Throws std::invalid_argument on shape mismatch and
-/// std::runtime_error when A is not (numerically) positive definite.
-[[nodiscard]] std::vector<Complex> solve_hermitian(
-    const CMatrix& a, const std::vector<Complex>& b);
-
-/// Robust variant: retries with geometrically increasing diagonal loading
-/// (relative to the mean diagonal) until the Cholesky succeeds.
-[[nodiscard]] std::vector<Complex> solve_hermitian_loaded(
-    const CMatrix& a, const std::vector<Complex>& b,
-    double initial_loading = 1e-9);
 
 /// General inverse via Gauss-Jordan with partial pivoting. Throws
 /// std::runtime_error for (numerically) singular input.

@@ -45,11 +45,40 @@ MultiChannelSignal plane_wave_tone(const ArrayGeometry& g, const Direction& dir,
   return x;
 }
 
+// Beamformer over the analytic signals of a real capture, white noise.
+NarrowbandBeamformer analytic_beamformer(const MultiChannelSignal& x,
+                                         const ArrayGeometry& g) {
+  std::vector<ComplexSignal> chans;
+  for (const Signal& c : x.channels)
+    chans.push_back(echoimage::dsp::analytic_signal(c));
+  return NarrowbandBeamformer(std::move(chans), kF0, g,
+                              white_noise_covariance(g.num_mics()));
+}
+
+// Weight-only beamformer: `cov` is all that matters, the channels are
+// placeholders.
+NarrowbandBeamformer weight_beamformer(const ArrayGeometry& g,
+                                       const CMatrix& cov) {
+  return NarrowbandBeamformer(
+      std::vector<ComplexSignal>(g.num_mics(), ComplexSignal(1)), kF0, g, cov);
+}
+
+std::vector<Complex> weights(const NarrowbandBeamformer& bf,
+                             const Direction& dir, bool use_mvdr) {
+  std::vector<Complex> scratch;
+  std::vector<Complex> w(bf.analytic().size());
+  bf.compute_weights(dir, use_mvdr, scratch, w.data());
+  return w;
+}
+
 TEST(MvdrWeights, DistortionlessConstraint) {
   const ArrayGeometry g = make_respeaker_array();
   const Direction d{kPi / 2.0, 1.2};
   const auto a = steering_vector_hz(g, d, kF0);
-  const auto w = mvdr_weights(white_noise_covariance(6), a);
+  // A directional noise field, so MVDR is not just delay-and-sum.
+  CMatrix r = echoimage::linalg::outer(a, a);
+  r.add_diagonal(0.1);
+  const auto w = weights(weight_beamformer(g, r), d, true);
   // w^H a = 1 is MVDR's defining constraint (Eq. 8 denominator).
   const Complex resp = echoimage::linalg::hdot(w, a);
   EXPECT_NEAR(std::abs(resp - Complex(1.0, 0.0)), 0.0, 1e-9);
@@ -57,9 +86,11 @@ TEST(MvdrWeights, DistortionlessConstraint) {
 
 TEST(MvdrWeights, WhiteNoiseReducesToDelayAndSum) {
   const ArrayGeometry g = make_respeaker_array();
-  const auto a = steering_vector_hz(g, Direction{0.3, 1.0}, kF0);
-  const auto w_mvdr = mvdr_weights(white_noise_covariance(6), a, 0.0);
-  const auto w_das = das_weights(a);
+  const Direction d{0.3, 1.0};
+  const NarrowbandBeamformer bf =
+      weight_beamformer(g, white_noise_covariance(6));
+  const auto w_mvdr = weights(bf, d, true);
+  const auto w_das = weights(bf, d, false);
   for (std::size_t m = 0; m < 6; ++m)
     EXPECT_NEAR(std::abs(w_mvdr[m] - w_das[m]), 0.0, 1e-9);
 }
@@ -73,7 +104,7 @@ TEST(MvdrWeights, NullsDirectionalInterference) {
   // Noise covariance dominated by the interferer + small white floor.
   CMatrix r = echoimage::linalg::outer(a_int, a_int);
   for (std::size_t i = 0; i < 6; ++i) r(i, i) += Complex(0.01, 0.0);
-  const auto w = mvdr_weights(r, a_look, 1e-6);
+  const auto w = weights(weight_beamformer(g, r), look, true);
   const double gain_look =
       std::abs(echoimage::linalg::hdot(w, a_look));
   const double gain_int = std::abs(echoimage::linalg::hdot(w, a_int));
@@ -82,8 +113,9 @@ TEST(MvdrWeights, NullsDirectionalInterference) {
 }
 
 TEST(MvdrWeights, ShapeMismatchThrows) {
-  EXPECT_THROW((void)mvdr_weights(white_noise_covariance(4),
-                                  std::vector<Complex>(6)),
+  // The MVDR noise covariance must match the microphone count.
+  EXPECT_THROW((void)weight_beamformer(make_respeaker_array(),
+                                       white_noise_covariance(4)),
                std::invalid_argument);
 }
 
@@ -94,65 +126,32 @@ TEST(DasWeights, AverageOfSteeringPhases) {
   EXPECT_NEAR(std::abs(w[1] - Complex(0.0, 0.5)), 0.0, 1e-12);
 }
 
-TEST(ApplyWeights, MismatchThrows) {
-  EXPECT_THROW((void)apply_weights(std::vector<ComplexSignal>(3),
-                                   std::vector<Complex>(2)),
-               std::invalid_argument);
-}
-
 TEST(ApplyWeights, SumsWeightedChannels) {
-  std::vector<ComplexSignal> ch{
-      ComplexSignal{{1.0, 0.0}}, ComplexSignal{{0.0, 1.0}}};
-  const std::vector<Complex> w{{1.0, 0.0}, {1.0, 0.0}};
-  const ComplexSignal y = apply_weights(ch, w);
-  ASSERT_EQ(y.size(), 1u);
-  EXPECT_NEAR(std::abs(y[0] - Complex(1.0, 1.0)), 0.0, 1e-12);
-}
-
-TEST(FractionalDelay, ShiftsByExactSamples) {
-  Signal x(256, 0.0);
-  x[100] = 1.0;
-  const Signal y = fractional_delay(x, kFs, 10.0 / kFs);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < y.size(); ++i)
-    if (y[i] > y[best]) best = i;
-  EXPECT_EQ(best, 110u);
-}
-
-TEST(FractionalDelay, HalfSampleShiftOfSine) {
-  const std::size_t n = 512;
-  Signal x(n);
-  const double w = 2.0 * kPi * 2000.0 / kFs;
-  for (std::size_t i = 0; i < n; ++i)
-    x[i] = std::sin(w * static_cast<double>(i));
-  const Signal y = fractional_delay(x, kFs, 0.5 / kFs);
-  for (std::size_t i = 64; i < n - 64; ++i)
-    EXPECT_NEAR(y[i], std::sin(w * (static_cast<double>(i) - 0.5)), 5e-3);
-}
-
-TEST(BeamformDasBroadband, CoherentGainTowardSource) {
+  // steer() applies compute_weights' weights: y(t) = w^H x(t).
   const ArrayGeometry g = make_respeaker_array();
-  const Direction src{kPi / 2.0, kPi / 2.0};
-  const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 2048, 0.5, 17);
-  const Signal toward = beamform_das_broadband(x, g, src, kFs);
-  const Direction away{3.0 * kPi / 2.0, kPi / 2.0};
-  const Signal off = beamform_das_broadband(x, g, away, kFs);
-  // Steering at the source aligns the tone (RMS ~ 0.707) while steering
-  // away misaligns it; noise is averaged down in both.
-  const double rms_toward = echoimage::dsp::rms(
-      std::span<const double>(toward.data() + 256, 1536));
-  const double rms_off =
-      echoimage::dsp::rms(std::span<const double>(off.data() + 256, 1536));
-  EXPECT_GT(rms_toward, rms_off);
-  EXPECT_NEAR(rms_toward, 1.0 / std::sqrt(2.0), 0.12);
+  const MultiChannelSignal x =
+      plane_wave_tone(g, Direction{0.4, 1.1}, kF0, 64, 0.3, 5);
+  const NarrowbandBeamformer bf = analytic_beamformer(x, g);
+  const Direction look{2.0, 1.0};
+  for (const bool mvdr : {true, false}) {
+    const auto w = weights(bf, look, mvdr);
+    const ComplexSignal y = bf.steer(look, mvdr);
+    ASSERT_EQ(y.size(), 64u);
+    for (std::size_t t = 0; t < y.size(); ++t) {
+      Complex want(0.0, 0.0);
+      for (std::size_t m = 0; m < w.size(); ++m)
+        want += std::conj(w[m]) * bf.analytic()[m][t];
+      EXPECT_EQ(y[t], want);
+    }
+  }
 }
 
 TEST(NarrowbandBeamformer, SteerRecoversToneFromLookDirection) {
   const ArrayGeometry g = make_respeaker_array();
   const Direction src{kPi / 2.0, kPi / 2.0};
   const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 1024);
-  const NarrowbandBeamformer bf(x, kFs, kF0, g);
-  const ComplexSignal y = bf.steer(src);
+  const NarrowbandBeamformer bf = analytic_beamformer(x, g);
+  const ComplexSignal y = bf.steer(src, true);
   // Steered output magnitude ~ tone amplitude 1.0 in steady state.
   double acc = 0.0;
   for (std::size_t t = 256; t < 768; ++t) acc += std::abs(y[t]);
@@ -163,23 +162,24 @@ TEST(NarrowbandBeamformer, SteeredEnergyWindowed) {
   const ArrayGeometry g = make_respeaker_array();
   const Direction src{kPi / 2.0, kPi / 2.0};
   const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 1024);
-  const NarrowbandBeamformer bf(x, kFs, kF0, g);
+  const NarrowbandBeamformer bf = analytic_beamformer(x, g);
   const std::vector<Gate> gates{{256, 768}, {5000, 5010}};
   const GateCovariances q(bf.analytic(), gates);
-  const double e_full = q.steered_energy(0, bf.weights_mvdr(src).data());
+  const auto w_mvdr = weights(bf, src, true);
+  const double e_full = q.steered_energy(0, w_mvdr.data());
   // |analytic tone|^2 = 1 per sample.
   EXPECT_NEAR(e_full, 512.0, 30.0);
-  const double e_das = q.steered_energy(0, bf.weights_das(src).data());
+  const double e_das = q.steered_energy(0, weights(bf, src, false).data());
   EXPECT_NEAR(e_das, e_full, 40.0);
   // Out-of-range window is empty.
-  EXPECT_EQ(q.steered_energy(1, bf.weights_mvdr(src).data()), 0.0);
+  EXPECT_EQ(q.steered_energy(1, w_mvdr.data()), 0.0);
 }
 
 TEST(NarrowbandBeamformer, IncoherentEnergyIsDirectionFree) {
   const ArrayGeometry g = make_respeaker_array();
   const MultiChannelSignal x =
       plane_wave_tone(g, Direction{1.0, 1.3}, kF0, 512);
-  const NarrowbandBeamformer bf(x, kFs, kF0, g);
+  const NarrowbandBeamformer bf = analytic_beamformer(x, g);
   const std::vector<Gate> gate{{128, 384}};
   const double e = GateCovariances(bf.analytic(), gate).incoherent_energy(0);
   EXPECT_NEAR(e, 256.0, 20.0);  // mean per-mic |analytic|^2 = 1
@@ -187,19 +187,27 @@ TEST(NarrowbandBeamformer, IncoherentEnergyIsDirectionFree) {
 
 TEST(NarrowbandBeamformer, RejectsBadInputs) {
   const ArrayGeometry g = make_respeaker_array();
-  MultiChannelSignal wrong;
-  wrong.channels.resize(3, Signal(64, 0.0));
-  EXPECT_THROW(NarrowbandBeamformer(wrong, kFs, kF0, g),
+  const CMatrix white = white_noise_covariance(6);
+  EXPECT_THROW(NarrowbandBeamformer(
+                   std::vector<ComplexSignal>(3, ComplexSignal(64)), kF0, g,
+                   white),
                std::invalid_argument);
-  MultiChannelSignal ragged;
-  ragged.channels = {Signal(64), Signal(32), Signal(64),
-                     Signal(64), Signal(64), Signal(64)};
-  EXPECT_THROW(NarrowbandBeamformer(ragged, kFs, kF0, g),
+  std::vector<ComplexSignal> ragged(6, ComplexSignal(64));
+  ragged[1].resize(32);
+  EXPECT_THROW(NarrowbandBeamformer(ragged, kF0, g, white),
                std::invalid_argument);
   EXPECT_THROW(
       NarrowbandBeamformer(std::vector<ComplexSignal>(6, ComplexSignal(8)),
-                           kFs, kF0, g, white_noise_covariance(4)),
+                           kF0, g, white_noise_covariance(4)),
       std::invalid_argument);
+  // Mask length mismatch, and a mask that leaves no channel.
+  const std::vector<ComplexSignal> ok(6, ComplexSignal(8));
+  EXPECT_THROW(NarrowbandBeamformer(ok, kF0, g, white, kSpeedOfSoundMps,
+                                    ChannelMask(4, true)),
+               std::invalid_argument);
+  EXPECT_THROW(NarrowbandBeamformer(ok, kF0, g, white, kSpeedOfSoundMps,
+                                    ChannelMask(6, false)),
+               std::invalid_argument);
 }
 
 
@@ -226,14 +234,16 @@ TEST(NarrowbandBeamformer, PhysicallyRenderedEchoFavoursTrueDirection) {
     std::fill(c.begin(), c.begin() + 150, 0.0);
     echo.channels.push_back(std::move(c));
   }
-  const NarrowbandBeamformer bf(echo, kFs, kF0,
-                                echoimage::array::make_respeaker_array());
+  const NarrowbandBeamformer bf =
+      analytic_beamformer(echo, echoimage::array::make_respeaker_array());
   const Direction toward = direction_to_point(target);
   const Direction mirror{toward.theta + kPi, toward.phi};
   const std::vector<Gate> whole{{0, echo.length()}};
   const GateCovariances q(bf.analytic(), whole);
-  const double e_toward = q.steered_energy(0, bf.weights_das(toward).data());
-  const double e_mirror = q.steered_energy(0, bf.weights_das(mirror).data());
+  const double e_toward =
+      q.steered_energy(0, weights(bf, toward, false).data());
+  const double e_mirror =
+      q.steered_energy(0, weights(bf, mirror, false).data());
   EXPECT_GT(e_toward, 1.3 * e_mirror);
 }
 
@@ -252,20 +262,6 @@ TEST(NoiseCovarianceOf, MatchesDirectEstimate) {
                std::invalid_argument);
 }
 
-TEST(SubbandMvdr, RecoversToneSteeredAtSource) {
-  const ArrayGeometry g = make_respeaker_array();
-  const Direction src{kPi / 2.0, kPi / 2.0};
-  const MultiChannelSignal x = plane_wave_tone(g, src, kF0, 2048);
-  echoimage::dsp::StftParams p;
-  p.fft_size = 256;
-  p.hop = 64;
-  const Signal y = beamform_subband_mvdr(x, g, src, kFs, p);
-  // Steady-state RMS of a unit tone is 1/sqrt(2).
-  const double r =
-      echoimage::dsp::rms(std::span<const double>(y.data() + 512, 1024));
-  EXPECT_NEAR(r, 1.0 / std::sqrt(2.0), 0.08);
-}
-
 TEST(NarrowbandBeamformer, CopiesOutliveTheSource) {
   // The beamformer owns plain value members (rule of zero): copies, copies
   // of copies and moves answer every query bit-identically after the
@@ -277,9 +273,9 @@ TEST(NarrowbandBeamformer, CopiesOutliveTheSource) {
   for (const Signal& c : x.channels)
     chans.push_back(echoimage::dsp::analytic_signal(c));
   auto source = std::make_unique<NarrowbandBeamformer>(
-      chans, kFs, kF0, g, white_noise_covariance(g.num_mics()));
+      chans, kF0, g, white_noise_covariance(g.num_mics()));
   const Direction look{1.0, 1.2};
-  const auto w = source->weights_mvdr(look);
+  const auto w = weights(*source, look, true);
   const std::vector<Gate> whole{{0, 512}};
   const double want =
       GateCovariances(source->analytic(), whole).steered_energy(0, w.data());
@@ -290,11 +286,35 @@ TEST(NarrowbandBeamformer, CopiesOutliveTheSource) {
   const NarrowbandBeamformer moved = std::move(assigned);
   for (const NarrowbandBeamformer* bf :
        {static_cast<const NarrowbandBeamformer*>(&copy), &moved}) {
-    EXPECT_EQ(bf->weights_mvdr(look), w);
+    EXPECT_EQ(weights(*bf, look, true), w);
     EXPECT_EQ(
         GateCovariances(bf->analytic(), whole).steered_energy(0, w.data()),
         want);
   }
+}
+
+TEST(NarrowbandBeamformer, MaskedChannelsMayBeEmpty) {
+  // A masked-out channel is never read: passing it empty gives the same
+  // subarray output as passing its samples.
+  const ArrayGeometry g = make_respeaker_array();
+  const MultiChannelSignal x =
+      plane_wave_tone(g, Direction{1.0, 1.2}, kF0, 256, 0.1, 9);
+  std::vector<ComplexSignal> full;
+  for (const Signal& c : x.channels)
+    full.push_back(echoimage::dsp::analytic_signal(c));
+  std::vector<ComplexSignal> holed = full;
+  holed[2].clear();
+  ChannelMask mask(6, true);
+  mask[2] = false;
+  CMatrix cov = white_noise_covariance(6);
+  cov(0, 1) = Complex(0.2, 0.1);
+  cov(1, 0) = Complex(0.2, -0.1);
+  const NarrowbandBeamformer a(full, kF0, g, cov, kSpeedOfSoundMps, mask);
+  const NarrowbandBeamformer b(holed, kF0, g, cov, kSpeedOfSoundMps, mask);
+  ASSERT_EQ(b.analytic().size(), 5u);
+  const Direction look{0.5, 1.4};
+  EXPECT_EQ(a.steer(look, true), b.steer(look, true));
+  EXPECT_EQ(a.steer(look, false), b.steer(look, false));
 }
 
 TEST(Beampattern, PeaksAtLookDirection) {

@@ -138,28 +138,5 @@ TEST(SpeedOfSound, TemperatureDependence) {
       0.6, 0.1);
 }
 
-TEST(UniformLinearArray, GeometryAndValidation) {
-  const ArrayGeometry g = make_uniform_linear_array(4, 0.04_m);
-  ASSERT_EQ(g.num_mics(), 4u);
-  // Centered on the origin, spaced along x.
-  EXPECT_NEAR(g.center().x, 0.0, 1e-12);
-  EXPECT_NEAR(g.mic(0).x, -0.06, 1e-12);
-  EXPECT_NEAR(g.mic(3).x, 0.06, 1e-12);
-  EXPECT_NEAR(g.min_adjacent_spacing(), 0.04, 1e-12);
-  EXPECT_NEAR(g.aperture(), 0.12, 1e-12);
-  EXPECT_THROW(make_uniform_linear_array(1, 0.04_m), std::invalid_argument);
-  EXPECT_THROW(make_uniform_linear_array(4, 0.0_m), std::invalid_argument);
-}
-
-TEST(UniformLinearArray, EndfireAmbiguityOfLinearGeometry) {
-  // A ULA cannot distinguish front from back (mirror symmetry about its
-  // axis): steering vectors for theta and -theta coincide.
-  const ArrayGeometry g = make_uniform_linear_array(4, 0.05_m);
-  const auto a1 = steering_vector_hz(g, Direction{0.7, 1.2}, 2500.0_hz);
-  const auto a2 = steering_vector_hz(g, Direction{-0.7, 1.2}, 2500.0_hz);
-  for (std::size_t m = 0; m < 4; ++m)
-    EXPECT_NEAR(std::abs(a1[m] - a2[m]), 0.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace echoimage::array

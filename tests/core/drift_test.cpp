@@ -283,5 +283,38 @@ TEST(DriftManager, ImplausibleGainShiftDiverges) {
   EXPECT_FALSE(manager.corrections().active);
 }
 
+TEST(DriftManager, NonPowerOfTwoNoiseCaptureGivesFiniteNoiseSpectrum) {
+  // The pipeline accepts a noise capture of any length, and the drift
+  // monitor's noise spectrum is the one arbitrary-length FFT in the
+  // system: a 2000-sample capture must yield a finite banded spectrum that
+  // agrees with the power-of-two capture it was cut from.
+  const Fixture f;
+  const eval::CaptureBatch full = f.background(0);
+  ASSERT_EQ(full.noise_only.length(), 2048u);
+  eval::CaptureBatch cut = full;
+  for (dsp::Signal& ch : cut.noise_only.channels) ch.resize(2000);
+
+  const core::ProcessedBeeps processed =
+      f.pipeline.process(cut.beeps, cut.noise_only);
+  EXPECT_TRUE(processed.gate_passed());
+
+  core::DriftManager manager(f.pipeline);
+  manager.set_reference(cut.beeps, cut.noise_only);
+  const std::vector<double> cut_db = manager.monitor().reference().noise_band_db;
+  manager.set_reference(full.beeps, full.noise_only);
+  const std::vector<double> full_db =
+      manager.monitor().reference().noise_band_db;
+  ASSERT_EQ(cut_db.size(), manager.monitor().config().num_noise_bands);
+  ASSERT_EQ(full_db.size(), cut_db.size());
+  for (std::size_t b = 0; b < cut_db.size(); ++b) {
+    EXPECT_TRUE(std::isfinite(cut_db[b])) << "band " << b;
+    EXPECT_NEAR(cut_db[b], full_db[b], 1.5) << "band " << b;
+  }
+  const core::DriftReport rep =
+      manager.observe(cut.beeps, cut.noise_only, /*occupied=*/false);
+  EXPECT_TRUE(rep.noise_floor.evaluated);
+  EXPECT_TRUE(std::isfinite(rep.noise_floor.deviation));
+}
+
 }  // namespace
 }  // namespace echoimage

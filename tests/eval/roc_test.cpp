@@ -14,7 +14,6 @@ TEST(Roc, PerfectSeparationGivesAucOneEerZero) {
   const RocCurve roc({2.0, 3.0, 4.0}, {-1.0, 0.0, 1.0});
   EXPECT_NEAR(roc.auc(), 1.0, 1e-9);
   EXPECT_NEAR(roc.eer(), 0.0, 1e-9);
-  EXPECT_NEAR(roc.fpr_at_tpr(1.0), 0.0, 1e-9);
 }
 
 TEST(Roc, ReversedScoresGiveAucZero) {
@@ -49,15 +48,6 @@ TEST(Roc, PointsAreMonotone) {
     prev_tpr = p.tpr;
     prev_fpr = p.fpr;
   }
-}
-
-TEST(Roc, FprAtTprFloor) {
-  const RocCurve roc({2.0, 3.0, 4.0, 5.0}, {0.0, 1.0, 2.5, 6.0});
-  // To accept all genuine (threshold <= 2.0), impostors at 2.5 and 6.0 are
-  // also accepted: FPR = 0.5.
-  EXPECT_NEAR(roc.fpr_at_tpr(1.0), 0.5, 1e-9);
-  // A lower floor can be met at smaller FPR.
-  EXPECT_LE(roc.fpr_at_tpr(0.5), 0.5);
 }
 
 TEST(Roc, AucInvariantToMonotoneTransform) {

@@ -9,6 +9,14 @@
 namespace echoimage::linalg {
 namespace {
 
+// Conjugate transpose.
+CMatrix hermitian(const CMatrix& m) {
+  CMatrix h(m.cols(), m.rows());
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    for (std::size_t c = 0; c < m.cols(); ++c) h(c, r) = std::conj(m(r, c));
+  return h;
+}
+
 CMatrix random_hpd(std::size_t n, unsigned seed) {
   // A^H A + n I is Hermitian positive definite.
   std::mt19937 gen(seed);
@@ -16,7 +24,7 @@ CMatrix random_hpd(std::size_t n, unsigned seed) {
   CMatrix a(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) a(i, j) = Complex(d(gen), d(gen));
-  CMatrix h = multiply(a.hermitian(), a);
+  CMatrix h = multiply(hermitian(a), a);
   h.add_diagonal(static_cast<double>(n));
   return h;
 }
@@ -26,24 +34,6 @@ TEST(CMatrix, IdentityConstruction) {
   for (std::size_t r = 0; r < 3; ++r)
     for (std::size_t c = 0; c < 3; ++c)
       EXPECT_EQ(i(r, c), (r == c ? Complex(1.0, 0.0) : Complex(0.0, 0.0)));
-}
-
-TEST(CMatrix, HermitianTransposeConjugates) {
-  CMatrix m(2, 3);
-  m(0, 1) = Complex(1.0, 2.0);
-  m(1, 2) = Complex(-3.0, 4.0);
-  const CMatrix h = m.hermitian();
-  EXPECT_EQ(h.rows(), 3u);
-  EXPECT_EQ(h.cols(), 2u);
-  EXPECT_EQ(h(1, 0), Complex(1.0, -2.0));
-  EXPECT_EQ(h(2, 1), Complex(-3.0, -4.0));
-}
-
-TEST(CMatrix, FrobeniusNorm) {
-  CMatrix m(2, 2);
-  m(0, 0) = Complex(3.0, 0.0);
-  m(1, 1) = Complex(0.0, 4.0);
-  EXPECT_DOUBLE_EQ(m.frobenius_norm(), 5.0);
 }
 
 TEST(CMatrix, AddDiagonalRequiresSquare) {
@@ -108,47 +98,6 @@ TEST(Outer, RankOneStructure) {
   EXPECT_EQ(m(1, 0), Complex(0.0, 2.0));
 }
 
-class HermitianSolveTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(HermitianSolveTest, SolvesRandomSystems) {
-  const std::size_t n = GetParam();
-  const CMatrix a = random_hpd(n, 100 + static_cast<unsigned>(n));
-  std::mt19937 gen(7);
-  std::normal_distribution<double> d(0.0, 1.0);
-  std::vector<Complex> x_true(n);
-  for (Complex& v : x_true) v = Complex(d(gen), d(gen));
-  const std::vector<Complex> b = multiply(a, x_true);
-  const std::vector<Complex> x = solve_hermitian(a, b);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-8);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, HermitianSolveTest,
-                         ::testing::Values<std::size_t>(1, 2, 3, 6, 10, 24));
-
-TEST(HermitianSolve, RejectsNonPositiveDefinite) {
-  CMatrix m = CMatrix::identity(2);
-  m(1, 1) = Complex(-1.0, 0.0);
-  EXPECT_THROW((void)solve_hermitian(m, std::vector<Complex>(2)),
-               std::runtime_error);
-}
-
-TEST(HermitianSolve, ShapeMismatchThrows) {
-  EXPECT_THROW((void)solve_hermitian(CMatrix::identity(3),
-                                     std::vector<Complex>(2)),
-               std::invalid_argument);
-}
-
-TEST(HermitianSolveLoaded, RecoversFromSingularInput) {
-  // Rank-deficient matrix: plain Cholesky fails, the loaded variant
-  // regularizes and returns a finite solution.
-  CMatrix m(2, 2);
-  m(0, 0) = m(0, 1) = m(1, 0) = m(1, 1) = Complex(1.0, 0.0);
-  const std::vector<Complex> b{{1.0, 0.0}, {1.0, 0.0}};
-  const auto x = solve_hermitian_loaded(m, b);
-  for (const Complex& v : x) EXPECT_TRUE(std::isfinite(std::abs(v)));
-}
-
 class InverseTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(InverseTest, InverseTimesOriginalIsIdentity) {
@@ -184,7 +133,7 @@ TEST(Inverse, ComplexRotationMatrix) {
   u(1, 0) = Complex(0.0, -s);
   u(1, 1) = Complex(c, 0.0);
   const CMatrix inv = inverse(u);
-  const CMatrix uh = u.hermitian();
+  const CMatrix uh = hermitian(u);
   for (std::size_t i = 0; i < 2; ++i)
     for (std::size_t j = 0; j < 2; ++j)
       EXPECT_NEAR(std::abs(inv(i, j) - uh(i, j)), 0.0, 1e-10);

@@ -1,12 +1,13 @@
 // FFT property + fuzz tests over the full size range (ISSUE 10).
 //
 // Properties checked on every supported ISA lane:
-//   * round-trip: ifft(fft(x)) == x to tight relative tolerance,
+//   * round-trip: inverse(forward(x)) == x to tight relative tolerance,
 //   * Parseval: sum |x|^2 == (1/N) sum |X|^2,
-//   * linearity spot check: fft(a x + b y) == a fft(x) + b fft(y),
-//   * non-power-of-two sizes go through the Bluestein path and satisfy the
-//     same properties; the power-of-two-only in-place kernel rejects them
-//     with a clean std::invalid_argument instead of corrupting memory,
+//   * linearity spot check: F(a x + b y) == a F(x) + b F(y),
+//   * non-power-of-two sizes go through fft_real's Bluestein path (see
+//     tests/dsp/fft_helpers.hpp) and satisfy the same properties; the
+//     power-of-two-only in-place kernel rejects them with a clean
+//     std::invalid_argument instead of corrupting memory,
 //   * cross-lane bit-exactness: the full transform (not just one stage)
 //     produces identical bits on every lane,
 // plus a seeded fuzz sweep in the style of serialize_fuzz_test: random
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "dsp/fft.hpp"
+#include "../dsp/fft_helpers.hpp"
 #include "simd/fft_plan.hpp"
 #include "simd/isa.hpp"
 
@@ -30,6 +32,8 @@ namespace echoimage::dsp {
 namespace {
 
 using Complex = std::complex<double>;
+using fft_testing::forward_dft;
+using fft_testing::inverse_dft;
 
 std::vector<Complex> random_signal(std::size_t n, std::uint64_t seed,
                                    double max_decade = 3.0) {
@@ -51,7 +55,7 @@ double rms(const std::vector<Complex>& x) {
 
 void check_round_trip_and_parseval(std::size_t n, std::uint64_t seed) {
   const std::vector<Complex> x = random_signal(n, seed);
-  std::vector<Complex> spec = fft(x);
+  std::vector<Complex> spec = forward_dft(x);
   ASSERT_EQ(spec.size(), n);
   // Parseval: time-domain energy equals spectral energy / N.
   double et = 0.0, ef = 0.0;
@@ -61,7 +65,7 @@ void check_round_trip_and_parseval(std::size_t n, std::uint64_t seed) {
     EXPECT_NEAR(et, ef / static_cast<double>(n), 1e-9 * (et + 1e-300))
         << "Parseval n=" << n;
   }
-  const std::vector<Complex> back = ifft(spec);
+  const std::vector<Complex> back = inverse_dft(spec);
   ASSERT_EQ(back.size(), n);
   const double scale = rms(x) + 1e-300;
   for (std::size_t i = 0; i < n; ++i) {
@@ -94,7 +98,8 @@ TEST(FftProperty, LinearityOnEveryLane) {
       const Complex a(0.75, -1.5), b(-2.25, 0.5);
       std::vector<Complex> mix(n);
       for (std::size_t i = 0; i < n; ++i) mix[i] = a * x[i] + b * y[i];
-      const auto fx = fft(x), fy = fft(y), fm = fft(mix);
+      const auto fx = forward_dft(x), fy = forward_dft(y);
+      const auto fm = forward_dft(mix);
       double scale = rms(fm) + 1e-300;
       for (std::size_t i = 0; i < n; ++i) {
         const Complex want = a * fx[i] + b * fy[i];
@@ -115,8 +120,8 @@ TEST(FftProperty, CrossLaneBitExact) {
     std::vector<std::vector<Complex>> specs, backs;
     for (simd::Isa isa : lanes) {
       simd::ScopedIsa forced(isa);
-      specs.push_back(fft(x));
-      backs.push_back(ifft(specs.back()));
+      specs.push_back(forward_dft(x));
+      backs.push_back(inverse_dft(specs.back()));
     }
     for (std::size_t l = 1; l < lanes.size(); ++l) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -177,9 +182,9 @@ TEST(FftFuzz, RandomSizesAndMagnitudes) {
     const std::uint64_t seed = master();
     check_round_trip_and_parseval(n, seed);
     const std::vector<Complex> x = random_signal(n, seed, 6.0);
-    const std::vector<Complex> fast = fft(x);
+    const std::vector<Complex> fast = forward_dft(x);
     simd::ScopedIsa forced(simd::Isa::kScalar);
-    const std::vector<Complex> slow = fft(x);
+    const std::vector<Complex> slow = forward_dft(x);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(fast[i].real()),
                 std::bit_cast<std::uint64_t>(slow[i].real()))

@@ -60,32 +60,17 @@ for trace in BENCH_faults_trace.json BENCH_drift_trace.json \
   fi
 done
 
-# Refresh the committed result snapshots at the repo root. The throughput
-# numbers are wall-clock (machine-dependent) but the acceptance lines and
-# shape are not, so the smoke run's JSON is the canonical snapshot. The
-# store snapshot, by contrast, must come from a full run (>= 100k-template
-# gallery): only copy it when the build tree holds a non-smoke result, so
-# a smoke pass never clobbers the committed full-scale numbers.
-if [ "$status" -eq 0 ] && [ -f "$build_dir/bench/BENCH_throughput.json" ]; then
-  cp "$build_dir/bench/BENCH_throughput.json" "$repo_root/BENCH_throughput.json"
-  echo "refreshed $repo_root/BENCH_throughput.json"
-fi
-# Same rule for the kernel micro-bench: its ns/op numbers are wall-clock
-# but the per-lane shape (and the bit-exactness verdict) is the snapshot.
-if [ "$status" -eq 0 ] && [ -f "$build_dir/bench/BENCH_micro_dsp.json" ]; then
-  cp "$build_dir/bench/BENCH_micro_dsp.json" "$repo_root/BENCH_micro_dsp.json"
-  echo "refreshed $repo_root/BENCH_micro_dsp.json"
-fi
-if [ "$status" -eq 0 ] && [ -f "$build_dir/bench/BENCH_store.json" ] &&
-   grep -q '"smoke": false' "$build_dir/bench/BENCH_store.json"; then
-  cp "$build_dir/bench/BENCH_store.json" "$repo_root/BENCH_store.json"
-  echo "refreshed $repo_root/BENCH_store.json"
-fi
-# Same full-run-only rule for the identification snapshot: its committed
-# numbers cover the 1k/10k/100k gallery ladder, which --smoke truncates.
-if [ "$status" -eq 0 ] && [ -f "$build_dir/bench/BENCH_ident.json" ] &&
-   grep -q '"smoke": false' "$build_dir/bench/BENCH_ident.json"; then
-  cp "$build_dir/bench/BENCH_ident.json" "$repo_root/BENCH_ident.json"
-  echo "refreshed $repo_root/BENCH_ident.json"
-fi
+# Refresh the committed result snapshots at the repo root. Every committed
+# BENCH_*.json is a full (non-smoke) record, and this script runs the
+# benches in smoke mode, so a snapshot is only copied when the build tree
+# holds a non-smoke result: a smoke pass never clobbers the committed
+# full-scale numbers.
+for snapshot in BENCH_throughput.json BENCH_micro_dsp.json \
+                BENCH_store.json BENCH_ident.json; do
+  if [ "$status" -eq 0 ] && [ -f "$build_dir/bench/$snapshot" ] &&
+     grep -q '"smoke": false' "$build_dir/bench/$snapshot"; then
+    cp "$build_dir/bench/$snapshot" "$repo_root/$snapshot"
+    echo "refreshed $repo_root/$snapshot"
+  fi
+done
 exit $status

@@ -24,10 +24,20 @@ cmake --build "$build_dir" -j "$(nproc)"
 find "$build_dir" -name '*.gcda' -delete
 
 # The lint label is static analysis — it executes no instrumented code, so
-# it only costs time here.
-(cd "$build_dir" && ctest --output-on-failure -LE lint)
+# it only costs time here. A failing test must not hide the report: record
+# ctest's status, always report, then fail if either step failed.
+test_status=0
+(cd "$build_dir" && ctest --output-on-failure -LE lint) || test_status=$?
 
+report_status=0
 python3 "$repo_root/tools/coverage_report.py" \
   --build-dir "$build_dir" \
   --root "$repo_root" \
-  --floor "$repo_root/tools/coverage_floor.txt"
+  --floor "$repo_root/tools/coverage_floor.txt" || report_status=$?
+
+if [ "$test_status" -ne 0 ]; then
+  echo "run_coverage: ctest failed (status $test_status)" >&2
+fi
+if [ "$test_status" -ne 0 ] || [ "$report_status" -ne 0 ]; then
+  exit 1
+fi
