@@ -1,9 +1,13 @@
-// Micro-benchmarks of the vectorized DSP kernels, swept across every ISA
-// lane this machine supports (forced via simd::ScopedIsa), with the
-// scalar lane as the baseline. For each kernel x lane the harness reports
-// ns/op and the speedup over scalar, and cross-checks that the lane
-// reproduced the scalar output bit for bit — a benchmark that quietly
-// measured different numbers would be worthless.
+// Micro-benchmarks of the vectorized DSP kernels and of the per-image
+// imaging stages (noise model, beep front end, cold weight fill), swept
+// across every ISA lane this machine supports (forced via
+// simd::ScopedIsa), with the scalar lane as the baseline. For each
+// kernel x lane the harness reports ns/op and the speedup over scalar, and
+// cross-checks that the lane reproduced the scalar output bit for bit — a
+// benchmark that quietly measured different numbers would be worthless.
+// A stage with no SIMD kernel in it (the weight fill) runs the same code in
+// every lane, so it is timed once, without lanes: per-lane "speedups"
+// would only be run-to-run noise.
 //
 // Writes BENCH_micro_dsp.json into the working directory (copied to the
 // repo root by tools/run_bench_smoke.sh). `--smoke` shrinks repetitions.
@@ -17,11 +21,13 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/imaging.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/chirp.hpp"
 #include "dsp/fft.hpp"
@@ -50,6 +56,7 @@ struct Kernel {
   std::string name;
   std::size_t n = 0;  ///< problem size, for the report
   std::function<std::uint64_t()> run;
+  bool lane_independent = false;  ///< calls no simd::kernels()
 };
 
 std::uint64_t digest(const double* x, std::size_t n) {
@@ -138,6 +145,75 @@ std::vector<Kernel> make_kernels() {
                        }});
   }
 
+  // Per-image imaging stages on a 6-channel, 2880-sample beep with a
+  // 2048-sample noise capture, 5 sub-bands, 1 thread.
+  {
+    const auto geometry = array::make_respeaker_array();
+    dsp::MultiChannelSignal beep, noise;
+    for (unsigned c = 0; c < 6; ++c) {
+      beep.channels.push_back(random_signal(2880, 20 + c));
+      noise.channels.push_back(random_signal(2048, 30 + c));
+    }
+    core::ImagingConfig cfg;
+    cfg.num_subbands = 5;
+    cfg.num_threads = 1;
+    // The attempt's noise model: noise front end, covariances, inverses.
+    const auto imager = std::make_shared<core::AcousticImager>(cfg, geometry);
+    kernels.push_back({"noise_model_5band", 6 * 2048, [imager, noise]() {
+                         const auto model = imager->noise_model(noise);
+                         const auto& inv = model.bands.back().inverse.data();
+                         return digest(inv.data(), inv.size());
+                       }});
+    // The per-beep front end: band-pass, direct suppression, then per band
+    // sub-band filter, analytic signal and matched filter on every channel.
+    // A 1x1 incoherent-only grid leaves no weights and a one-pixel sweep.
+    core::ImagingConfig fe_cfg = cfg;
+    fe_cfg.grid_size = 1;
+    fe_cfg.incoherent_mix = 1.0;
+    const auto fe = std::make_shared<core::AcousticImager>(fe_cfg, geometry);
+    const auto fe_noise = std::make_shared<core::AcousticImager::NoiseModel>(
+        fe->noise_model(noise));
+    kernels.push_back(
+        {"image_frontend_5band", 6 * 2880, [fe, fe_noise, beep]() {
+           const auto bands = fe->construct_bands(beep, units::Meters{0.7},
+                                                  0.0002, *fe_noise);
+           std::uint64_t h = 0;
+           for (const auto& b : bands) h ^= digest(b.data().data(), b.size());
+           return h;
+         }});
+    // The weight fill of one cold 180x180 paper-scale image, all 5 bands,
+    // MVDR: AcousticImager::fill_weight_row over every row, as band 0's
+    // sweep runs it on a cache miss, into tables allocated beforehand
+    // (allocating fresh tables is first-touch page-fault bound, so it is
+    // left out of this compute figure).
+    core::ImagingConfig paper = cfg;
+    paper.grid_size = 180;
+    paper.grid_spacing_m = 0.01;
+    const auto paper_imager =
+        std::make_shared<core::AcousticImager>(paper, geometry);
+    const auto model = std::make_shared<core::AcousticImager::NoiseModel>(
+        paper_imager->noise_model(noise));
+    const std::size_t pixels = paper.grid_size * paper.grid_size;
+    const auto tables =
+        std::make_shared<std::vector<std::shared_ptr<array::WeightTable>>>();
+    for (std::size_t b = 0; b < paper.num_subbands; ++b)
+      tables->push_back(std::make_shared<array::WeightTable>(
+          pixels, geometry.num_mics()));
+    kernels.push_back(
+        {"weight_fill_180x180x5", pixels * paper.num_subbands,
+         [paper_imager, model, tables]() {
+           const std::size_t grid = paper_imager->config().grid_size;
+           for (std::size_t row = 0; row < grid; ++row)
+             paper_imager->fill_weight_row(*model, units::Meters{0.7}, row,
+                                           *tables);
+           std::uint64_t h = 0;
+           for (const auto& t : *tables)
+             h ^= digest(t->row(0), t->num_rows() * t->num_channels());
+           return h;
+         },
+         true});
+  }
+
   return kernels;
 }
 
@@ -165,6 +241,7 @@ int main(int argc, char** argv) {
   struct KernelReport {
     std::string name;
     std::size_t n = 0;
+    bool lane_independent = false;  ///< one timing, no lanes
     std::vector<LaneTiming> lanes;
   };
 
@@ -178,6 +255,19 @@ int main(int argc, char** argv) {
     KernelReport report;
     report.name = k.name;
     report.n = k.n;
+    report.lane_independent = k.lane_independent;
+    if (k.lane_independent) {
+      LaneTiming t;
+      t.isa = "none";
+      (void)k.run();
+      t.ns_per_op = time_ns(k.run, inner, repeats, sink);
+      report.lanes.push_back(t);
+      rows.push_back({k.name, std::to_string(k.n), t.isa,
+                      eval::fmt(t.ns_per_op), "-", "-"});
+      reports.push_back(std::move(report));
+      std::cerr << '.' << std::flush;
+      continue;
+    }
     double scalar_ns = 0.0;
     std::uint64_t scalar_digest = 0;
     for (const simd::Isa isa : lanes) {
@@ -221,8 +311,14 @@ int main(int argc, char** argv) {
        << "\",\n  \"kernels\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const KernelReport& r = reports[i];
-    json << "    {\"name\": \"" << r.name << "\", \"n\": " << r.n
-         << ", \"lanes\": [";
+    json << "    {\"name\": \"" << r.name << "\", \"n\": " << r.n;
+    if (r.lane_independent) {
+      json << ", \"lane_independent\": true, \"ns_per_op\": "
+           << r.lanes.front().ns_per_op << "}"
+           << (i + 1 < reports.size() ? "," : "") << "\n";
+      continue;
+    }
+    json << ", \"lanes\": [";
     for (std::size_t l = 0; l < r.lanes.size(); ++l) {
       const LaneTiming& t = r.lanes[l];
       json << "{\"isa\": \"" << t.isa << "\", \"ns_per_op\": " << t.ns_per_op

@@ -37,11 +37,10 @@ ComplexSignal apply_weights(const std::vector<ComplexSignal>& channels,
 bool check_mask(const ChannelMask& mask, std::size_t num_channels) {
   if (mask.empty()) return false;
   if (mask.size() != num_channels)
-    throw std::invalid_argument("NarrowbandBeamformer: mask/channel mismatch");
+    throw std::invalid_argument("beamformer: mask/channel mismatch");
   const std::size_t active = count_active(mask);
   if (active == 0)
-    throw std::invalid_argument(
-        "NarrowbandBeamformer: mask leaves no channel");
+    throw std::invalid_argument("beamformer: mask leaves no channel");
   return active < num_channels;
 }
 
@@ -61,8 +60,6 @@ NarrowbandBeamformer::NarrowbandBeamformer(
         "NarrowbandBeamformer: covariance/mic mismatch");
   const bool reduced = check_mask(active_mask, channels.size());
   geom_ = reduced ? geom.subarray(active_mask) : std::move(geom);
-  CMatrix noise_cov = reduced ? masked_covariance(noise_covariance, active_mask)
-                              : std::move(noise_covariance);
   analytic_ = reduced ? select_channels(channels, active_mask)
                       : std::move(channels);
   length_ = analytic_.front().size();
@@ -70,8 +67,40 @@ NarrowbandBeamformer::NarrowbandBeamformer(
     if (c.size() != length_)
       throw std::invalid_argument(
           "NarrowbandBeamformer: ragged complex channels");
-  noise_cov.add_diagonal(1e-3);  // loading keeps the inverse well-behaved
-  noise_cov_inv_ = echoimage::linalg::inverse(noise_cov);
+  noise_cov_inv_ = loaded_inverse(noise_covariance, active_mask);
+}
+
+CMatrix loaded_inverse(const CMatrix& noise_covariance,
+                       const ChannelMask& active_mask) {
+  CMatrix cov = check_mask(active_mask, noise_covariance.rows())
+                    ? masked_covariance(noise_covariance, active_mask)
+                    : noise_covariance;
+  cov.add_diagonal(1e-3);  // loading keeps the inverse well-behaved
+  return echoimage::linalg::inverse(cov);
+}
+
+void solve_weights(const CMatrix& r_inv, const Complex* a, bool use_mvdr,
+                   Complex* out) {
+  const std::size_t m = r_inv.rows();
+  if (!use_mvdr) {
+    const double inv_m = 1.0 / static_cast<double>(m);
+    for (std::size_t i = 0; i < m; ++i) out[i] = a[i] * inv_m;
+    return;
+  }
+  // y = R^-1 a, then w = y / Re(a^H y).
+  double denom = 0.0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const Complex* r = &r_inv(i, 0);
+    double y_re = 0.0, y_im = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      y_re += r[j].real() * a[j].real() - r[j].imag() * a[j].imag();
+      y_im += r[j].real() * a[j].imag() + r[j].imag() * a[j].real();
+    }
+    out[i] = Complex(y_re, y_im);
+    denom += a[i].real() * y_re + a[i].imag() * y_im;
+  }
+  const double scale = 1.0 / denom;
+  for (std::size_t i = 0; i < m; ++i) out[i] *= scale;
 }
 
 CMatrix noise_covariance_of(const MultiChannelSignal& noise) {
@@ -91,21 +120,7 @@ void NarrowbandBeamformer::compute_weights(const Direction& dir,
   steering_vector_into(geom_, dir,
                        2.0 * std::numbers::pi * center_freq_hz_,
                        units::MetersPerSecond{speed_of_sound_}, scratch);
-  const std::size_t m = scratch.size();
-  if (use_mvdr) {
-    // R^-1 a / (a^H R^-1 a).
-    Complex denom(0.0, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      out[i] = Complex(0.0, 0.0);
-      for (std::size_t j = 0; j < m; ++j)
-        out[i] += noise_cov_inv_(i, j) * scratch[j];
-      denom += std::conj(scratch[i]) * out[i];
-    }
-    for (std::size_t i = 0; i < m; ++i) out[i] /= denom;
-  } else {
-    const double inv_m = 1.0 / static_cast<double>(m);
-    for (std::size_t i = 0; i < m; ++i) out[i] = scratch[i] * inv_m;
-  }
+  solve_weights(noise_cov_inv_, scratch.data(), use_mvdr, out);
 }
 
 ComplexSignal NarrowbandBeamformer::steer(const Direction& dir,

@@ -1,10 +1,11 @@
 // Beamformer weight computation and application (paper Sec. III-D).
 //
-// One engine: narrowband MVDR / delay-and-sum — complex weights at the
-// chirp's center frequency applied directly to per-channel analytic (or
-// pulse-compressed) signals, steerable to an arbitrary Direction. Imaging
-// computes one weight vector per virtual-plane grid; distance estimation
-// steers one look direction.
+// One weight solver (solve_weights: narrowband MVDR / delay-and-sum) and
+// one engine that applies its complex weights at the chirp's center
+// frequency to per-channel analytic (or pulse-compressed) signals,
+// steerable to an arbitrary Direction. Imaging solves one weight vector
+// per virtual-plane grid and band; distance estimation steers one look
+// direction.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +23,23 @@ using echoimage::dsp::MultiChannelSignal;
 /// noise).
 [[nodiscard]] std::vector<Complex> das_weights(
     const std::vector<Complex>& steering);
+
+/// Inverse of the noise covariance as the beamformer uses it: the principal
+/// submatrix over `active_mask`'s channels (empty = all), diagonally loaded
+/// by 1e-3 so the inverse stays well-behaved. Throws std::invalid_argument
+/// on a mask length mismatch or a mask that leaves no channel.
+[[nodiscard]] CMatrix loaded_inverse(const CMatrix& noise_covariance,
+                                     const ChannelMask& active_mask);
+
+/// Weights toward the steering vector `a` (M entries) into `out[0, M)`:
+/// MVDR w = R^-1 a / (a^H R^-1 a) (paper Eq. 8) given the loaded inverse
+/// `r_inv`, or delay-and-sum w = a / M. The MVDR denominator is real for a
+/// Hermitian R^-1, so the solve scales by the reciprocal of its real part
+/// (the discarded imaginary part is rounding, ~1e-16 relative); the
+/// product R^-1 a runs in explicit real arithmetic. The one weight solver:
+/// the imaging weight fill and NarrowbandBeamformer both call it.
+void solve_weights(const CMatrix& r_inv, const Complex* a, bool use_mvdr,
+                   Complex* out);
 
 /// Narrowband steering engine: holds per-channel complex signals and the
 /// (loaded, inverted) noise covariance, then steers to many directions
@@ -52,8 +70,7 @@ class NarrowbandBeamformer {
     return analytic_;
   }
 
-  /// Weights toward `dir` (MVDR w = R^-1 a / (a^H R^-1 a), paper Eq. 8, or
-  /// delay-and-sum w = a / M) written into `out[0, M)`, with `scratch`
+  /// solve_weights toward `dir` written into `out[0, M)`, with `scratch`
   /// holding the steering vector. Allocation-free for hot loops.
   void compute_weights(const Direction& dir, bool use_mvdr,
                        std::vector<Complex>& scratch, Complex* out) const;

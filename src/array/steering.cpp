@@ -1,21 +1,9 @@
 #include "array/steering.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
 namespace echoimage::array {
-
-Direction direction_to_point(const Vec3& p) {
-  const double r = p.norm();
-  if (r <= 0.0)
-    throw std::domain_error("direction_to_point: point at the origin");
-  Direction d;
-  d.phi = std::acos(std::clamp(p.z / r, -1.0, 1.0));
-  d.theta = std::atan2(p.y, p.x);
-  return d;
-}
 
 Vec3 line_of_sight(const Direction& dir) {
   const double sp = std::sin(dir.phi);
@@ -25,16 +13,6 @@ Vec3 line_of_sight(const Direction& dir) {
 
 Vec3 propagation_vector(const Direction& dir) {
   return line_of_sight(dir) * -1.0;
-}
-
-std::vector<double> tdoas(const ArrayGeometry& geom, const Direction& dir,
-                          units::MetersPerSecond speed_of_sound) {
-  std::vector<double> out(geom.num_mics());
-  const Vec3 v = propagation_vector(dir);
-  const double c = speed_of_sound.value();
-  for (std::size_t m = 0; m < geom.num_mics(); ++m)
-    out[m] = v.dot(geom.mic(m)) / c;
-  return out;
 }
 
 std::vector<Complex> steering_vector(const ArrayGeometry& geom,
@@ -56,13 +34,33 @@ void steering_vector_into(const ArrayGeometry& geom, const Direction& dir,
                           double omega, units::MetersPerSecond speed_of_sound,
                           std::vector<Complex>& out) {
   out.resize(geom.num_mics());
-  const Vec3 v = propagation_vector(dir);
-  const double c = speed_of_sound.value();
-  for (std::size_t m = 0; m < geom.num_mics(); ++m) {
-    // a_m = exp(-j k^T p_m) with k = (omega / c) v(Omega): conjugate of
-    // the arriving wave's phase so that w ~ a aligns the channels.
-    const double phase = -(omega / c) * v.dot(geom.mic(m));
-    out[m] = std::polar(1.0, phase);
+  banded_steering_into(geom, line_of_sight(dir), omega, 0.0, 1,
+                       speed_of_sound, out.data());
+}
+
+void banded_steering_into(const ArrayGeometry& geom, const Vec3& los,
+                          double omega_0, double d_omega,
+                          std::size_t num_bands,
+                          units::MetersPerSecond speed_of_sound,
+                          Complex* out) {
+  const std::size_t m_count = geom.num_mics();
+  const double k0 = omega_0 / speed_of_sound.value();
+  const double dk = d_omega / speed_of_sound.value();
+  for (std::size_t m = 0; m < m_count; ++m) {
+    // a_m = exp(-j k^T p_m) with k = (omega / c) v(Omega) = -(omega / c) los:
+    // conjugate of the arriving wave's phase so that w ~ a aligns the
+    // channels.
+    const double d = los.dot(geom.mic(m));
+    double re = std::cos(k0 * d), im = std::sin(k0 * d);
+    out[m] = Complex(re, im);
+    if (num_bands < 2) continue;
+    const double step_re = std::cos(dk * d), step_im = std::sin(dk * d);
+    for (std::size_t b = 1; b < num_bands; ++b) {
+      const double next_re = re * step_re - im * step_im;
+      im = re * step_im + im * step_re;
+      re = next_re;
+      out[b * m_count + m] = Complex(re, im);
+    }
   }
 }
 

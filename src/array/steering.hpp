@@ -22,10 +22,6 @@ struct Direction {
   double phi = 0.0;
 };
 
-/// Direction pointing from the origin toward a point in space. Throws
-/// std::domain_error for the origin itself.
-[[nodiscard]] Direction direction_to_point(const Vec3& p);
-
 /// Unit vector from the origin toward direction Omega (the line of sight).
 [[nodiscard]] Vec3 line_of_sight(const Direction& dir);
 
@@ -33,23 +29,18 @@ struct Direction {
 /// theta, cos phi]^T (paper Eq. 5) — points from the source toward the array.
 [[nodiscard]] Vec3 propagation_vector(const Direction& dir);
 
-/// TDOAs of all M microphones relative to the origin, as raw seconds:
-/// tau_m = v^T(Omega) p_m / c (positive = arrives later than the origin).
-/// For a plane wave with propagation direction v the field is
-/// s(t - (p . v)/c), so a microphone on the source side (p . v < 0) hears
-/// the wavefront early. Note the
-/// paper's Eq. 6 carries the opposite sign; combined with its Eq. 7/8 the
-/// two sign flips cancel, and this library uses the physically anchored
-/// convention throughout (validated against the renderer in the tests).
-[[nodiscard]] std::vector<double> tdoas(
-    const ArrayGeometry& geom, const Direction& dir,
-    units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
-
 /// Narrowband steering vector at angular frequency omega — rad/s, a raw
 /// double by design: omega only exists inside phase math (paper Eq. 8's
 /// p_s): a_m = exp(-j omega tau_m) = exp(-j k^T(Omega) p_m), the phase
 /// signature conjugate to what a unit plane wave from Omega leaves on the
-/// array, so w ~ a aligns the channels.
+/// array, so w ~ a aligns the channels. Here tau_m = v^T(Omega) p_m / c is
+/// microphone m's TDOA relative to the origin (positive = arrives later):
+/// for a plane wave with propagation direction v the field is
+/// s(t - (p . v)/c), so a microphone on the source side (p . v < 0) hears
+/// the wavefront early. The paper's Eq. 6 carries the opposite sign;
+/// combined with its Eq. 7/8 the two sign flips cancel, and this library
+/// uses the physically anchored convention throughout (validated against
+/// the renderer in the tests).
 [[nodiscard]] std::vector<Complex> steering_vector(
     const ArrayGeometry& geom, const Direction& dir, double omega,
     units::MetersPerSecond speed_of_sound = kSpeedOfSoundMps);
@@ -64,5 +55,20 @@ struct Direction {
 void steering_vector_into(const ArrayGeometry& geom, const Direction& dir,
                           double omega, units::MetersPerSecond speed_of_sound,
                           std::vector<Complex>& out);
+
+/// Steering vectors toward the unit line of sight `los` at `num_bands`
+/// equally spaced angular frequencies omega_b = omega_0 + b d_omega, written
+/// band-major: out[b * M + m] = exp(j omega_b d_m / c) with d_m = los . p_m
+/// (the same phases as steering_vector at omega_b). Trig-free across bands:
+/// each microphone takes two complex exponentials, exp(j omega_0 d_m / c)
+/// and the step exp(j d_omega d_m / c), and band b is the band-0 entry
+/// times the b-th power of the step, so band b differs from the direct
+/// exponential by rounding that grows about linearly in b (pinned at
+/// <= 1e-13 relative for the imaging grids in the tests). With one band the
+/// entries are exactly steering_vector's. `out` holds num_bands * M values.
+void banded_steering_into(const ArrayGeometry& geom, const Vec3& los,
+                          double omega_0, double d_omega,
+                          std::size_t num_bands,
+                          units::MetersPerSecond speed_of_sound, Complex* out);
 
 }  // namespace echoimage::array

@@ -1,5 +1,6 @@
 #include "array/weight_cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -100,18 +101,27 @@ std::shared_ptr<const WeightTable> WeightCache::publish(
     if (e.key == key) return e.table;
   const std::size_t rows = table->num_rows();
   if (rows > config_.capacity) return table;  // too large to keep resident
+  evict_for(rows);
+  entries_.push_back(Entry{key, table});
+  resident_ += rows;
+  insertions_->add(rows);
+  return table;
+}
+
+void WeightCache::make_room(std::size_t rows) {
+  const runtime::sync::LockGuard lock(mutex_);
+  evict_for(std::min(rows, config_.capacity));
+}
+
+void WeightCache::evict_for(std::size_t rows) {
   std::size_t evicted = 0;
-  while (resident_ + rows > config_.capacity) {
+  while (evicted < entries_.size() && resident_ + rows > config_.capacity) {
     resident_ -= entries_[evicted].table->num_rows();
     ++evicted;
   }
   entries_.erase(entries_.begin(),
                  entries_.begin() + static_cast<std::ptrdiff_t>(evicted));
   flushes_->add(evicted);
-  entries_.push_back(Entry{key, table});
-  resident_ += rows;
-  insertions_->add(rows);
-  return table;
 }
 
 std::size_t WeightCache::size() const {

@@ -2,8 +2,8 @@
 // per band sweep.
 //
 // Constructing one acoustic image steers the array to G x G grid
-// directions per spectral band; each MVDR steer costs a steering-vector
-// evaluation (per-channel trig) plus a covariance solve. All of that is a
+// directions per spectral band; each MVDR steer costs a steering vector
+// plus a covariance solve. All of that is a
 // pure function of (grid geometry, plane distance, speed of sound,
 // surviving subarray, noise covariance), so repeated beeps at the same
 // estimated distance — the common case, since a batch shares one distance
@@ -11,9 +11,10 @@
 // verbatim.
 //
 // Tables. The unit of caching is a WeightTable: one contiguous G^2 x M
-// block whose row k holds the weights of grid k. The imager looks a table
-// up once per band; on a miss its row tasks fill a fresh table's disjoint
-// rows as they sweep, and the filled table is published afterwards. The
+// block whose row k holds the weights of grid k. The imager looks every
+// band's table up before its first band's sweep; on a miss that sweep's
+// row tasks fill the fresh tables' disjoint rows, and the filled tables
+// are published afterwards. The
 // pixel loop therefore takes no lock, hashes nothing and allocates
 // nothing.
 //
@@ -153,6 +154,12 @@ class WeightCache {
   std::shared_ptr<const WeightTable> publish(
       const WeightKey& key, std::shared_ptr<const WeightTable> table);
 
+  /// Evict the oldest tables until `rows` more weight vectors fit (or
+  /// nothing is left), counting each as a flush. A caller about to fill
+  /// several tables at once calls it first, so the tables it will publish
+  /// replace old ones instead of coexisting with them while they fill.
+  void make_room(std::size_t rows);
+
   /// Resident weight vectors (never above the capacity).
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] WeightCacheStats stats() const;
@@ -176,6 +183,8 @@ class WeightCache {
   };
 
   void bind_counters(obs::MetricsRegistry& registry);
+  /// Drop the oldest tables until `rows` more fit.
+  void evict_for(std::size_t rows) EI_REQUIRES(mutex_);
 
   WeightCacheConfig config_;
   runtime::sync::SharedMutex mutex_;

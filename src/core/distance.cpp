@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "dsp/butterworth.hpp"
 #include "dsp/hilbert.hpp"
@@ -39,6 +40,11 @@ MultiChannelSignal DistanceEstimator::bandpass(
 Signal DistanceEstimator::beep_envelope(
     const MultiChannelSignal& beep, const MultiChannelSignal& noise_only,
     const echoimage::array::ChannelMask& active_mask) const {
+  if (!active_mask.empty() && active_mask.size() != beep.num_channels())
+    throw std::invalid_argument(
+        "DistanceEstimator: mask has " + std::to_string(active_mask.size()) +
+        " entries, capture has " + std::to_string(beep.num_channels()) +
+        " channels");
   const MultiChannelSignal filtered = bandpass(beep);
 
   ComplexSignal steered;

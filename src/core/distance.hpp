@@ -108,7 +108,8 @@ class DistanceEstimator {
       const MultiChannelSignal& capture) const;
 
   /// Per-beep correlation envelope E_l(t) of the steered signal (exposed
-  /// for tests and the Fig. 5 bench).
+  /// for tests and the Fig. 5 bench). Throws std::invalid_argument when a
+  /// non-empty `active_mask` has not one entry per capture channel.
   [[nodiscard]] Signal beep_envelope(
       const MultiChannelSignal& beep, const MultiChannelSignal& noise_only,
       const echoimage::array::ChannelMask& active_mask = {}) const;

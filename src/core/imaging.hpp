@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "array/beamformer.hpp"
 #include "array/weight_cache.hpp"
@@ -125,22 +127,54 @@ class AcousticImager {
   /// every site a dead branch. Call before first use.
   void attach_observability(std::shared_ptr<const obs::Observability> obs);
 
-  /// Construct the acoustic image AI_l from one beep capture. `tau_direct_s`
-  /// anchors the time axis (emission time = direct-path arrival minus the
-  /// speaker-mic flight, which is negligible at array scale); `noise_only`
-  /// optionally feeds the MVDR noise covariance.
-  /// `tau_echo_s` (< 0 = unknown) enables echo anchoring when
-  /// `anchor_to_echo` is set. `active_mask` (empty = all) images with the
-  /// surviving subarray when the health gate has condemned channels.
+  /// What the MVDR solve needs from one noise-only capture, per spectral
+  /// band: built once per attempt and shared by every beep imaged against
+  /// it (the noise front end — full-band and sub-band filtfilt, analytic
+  /// signal, normalized covariance — is the same for every beep).
+  struct NoiseBand {
+    /// Loaded inverse R_b^-1 over the active channels (see
+    /// array::loaded_inverse).
+    echoimage::array::CMatrix inverse;
+    /// Weight-cache fingerprint of the full-size normalized covariance
+    /// (before masking and loading).
+    std::uint64_t fingerprint = 0;
+  };
+  struct NoiseModel {
+    echoimage::array::ChannelMask active_mask;  ///< empty = all channels
+    std::vector<NoiseBand> bands;               ///< one per subband
+  };
+
+  /// The per-band noise model of `noise_only` for imaging with the
+  /// `active_mask` subarray (empty = all). An empty capture, or one whose
+  /// channel count differs from the array's, means no noise reference: the
+  /// covariance is then spatially white. Throws std::invalid_argument on a
+  /// mask length mismatch or a mask that leaves no channel.
+  [[nodiscard]] NoiseModel noise_model(
+      const MultiChannelSignal& noise_only,
+      const echoimage::array::ChannelMask& active_mask = {}) const;
+
+  /// Per-subband images of one beep capture (the pipeline's path), so the
+  /// classifier sees the body's frequency-dependent reflectivity.
+  /// `tau_direct_s` anchors the time axis (emission time = direct-path
+  /// arrival minus the speaker-mic flight, which is negligible at array
+  /// scale); `noise` (from noise_model) feeds the MVDR noise covariance and
+  /// names the active subarray the image is formed with. `tau_echo_s`
+  /// (< 0 = unknown) enables echo anchoring when `anchor_to_echo` is set.
+  [[nodiscard]] std::vector<Matrix2D> construct_bands(
+      const MultiChannelSignal& beep, units::Meters plane_distance,
+      double tau_direct_s, const NoiseModel& noise,
+      double tau_echo_s = -1.0) const;
+
+  /// One-shot forms: build noise_model(noise_only, active_mask) for this
+  /// beep alone, then image with it. `noise_only` is optional; an empty
+  /// `active_mask` images with every channel, otherwise the surviving
+  /// subarray when the health gate has condemned channels. `construct`
+  /// returns the acoustic image AI_l with the band energies compounded.
   [[nodiscard]] Matrix2D construct(
       const MultiChannelSignal& beep, units::Meters plane_distance,
       double tau_direct_s = 0.0, const MultiChannelSignal& noise_only = {},
       double tau_echo_s = -1.0,
       const echoimage::array::ChannelMask& active_mask = {}) const;
-
-  /// Per-subband images (the pipeline's default path): same computation as
-  /// `construct` but each spectral band is returned separately so the
-  /// classifier sees the body's frequency-dependent reflectivity.
   [[nodiscard]] std::vector<Matrix2D> construct_bands(
       const MultiChannelSignal& beep, units::Meters plane_distance,
       double tau_direct_s = 0.0,
@@ -148,29 +182,52 @@ class AcousticImager {
       double tau_echo_s = -1.0,
       const echoimage::array::ChannelMask& active_mask = {}) const;
 
+  /// The cold-image weight fill of grid row `row` of the plane at
+  /// `plane_distance`, against `noise`'s inverses and subarray: for each
+  /// pixel, steering from its unit vector with phases shared across the
+  /// bands (array::banded_steering_into), then one array::solve_weights
+  /// per band into the pixel's row of `tables[b]` (null = band skipped).
+  /// Band 0's sweep calls it on every row when a table missed the weight
+  /// cache. Throws std::invalid_argument when `noise`, `tables` or `row`
+  /// do not fit this imager.
+  void fill_weight_row(
+      const NoiseModel& noise, units::Meters plane_distance, std::size_t row,
+      const std::vector<std::shared_ptr<echoimage::array::WeightTable>>&
+          tables) const;
+
  private:
-  /// Per-image sweep geometry shared by the bands (defined in imaging.cpp).
+  /// Per-image sweep state shared by the bands: the gates and each band's
+  /// weight table (defined in imaging.cpp).
   struct SweepPlan;
 
   /// Per-band pixel energies (before the square root) of one capture —
   /// the shared body of `construct` and `construct_bands`.
   [[nodiscard]] std::vector<Matrix2D> band_energies(
       const MultiChannelSignal& beep, units::Meters plane_distance,
-      double tau_direct_s, const MultiChannelSignal& noise_only,
-      double tau_echo_s,
-      const echoimage::array::ChannelMask& active_mask) const;
-  /// Energy image of one subband, written into `image`.
+      double tau_direct_s, const NoiseModel& noise, double tau_echo_s) const;
+  /// Energy image of one subband, written into `image`. Band 0's sweep
+  /// also fills the weight tables of every band that missed the cache.
   void image_band(std::size_t band, const MultiChannelSignal& filtered,
-                  const MultiChannelSignal& noise_f, bool have_noise,
-                  double plane_distance_m, double tau_direct_s,
-                  double tau_echo_s,
-                  const echoimage::array::ChannelMask& active_mask,
-                  SweepPlan& plan, Matrix2D& image) const;
-  /// Shared front end: band-pass + direct-path suppression + noise filter.
-  void prepare(const MultiChannelSignal& beep,
-               const MultiChannelSignal& noise_only, double tau_direct_s,
-               MultiChannelSignal& filtered, MultiChannelSignal& noise_f,
-               bool& have_noise) const;
+                  const NoiseModel& noise, double plane_distance_m,
+                  double tau_direct_s, double tau_echo_s, SweepPlan& plan,
+                  Matrix2D& image) const;
+  /// Look up every band's weight table; allocate fresh ones for misses.
+  void find_tables(const NoiseModel& noise, double plane_distance_m,
+                   SweepPlan& plan) const;
+  /// fill_weight_row's body, unchecked: `subarray` is the noise model's
+  /// active subarray and `steering` holds num_subbands x its mics.
+  void fill_row(
+      const ArrayGeometry& subarray, const NoiseModel& noise,
+      double plane_distance_m, std::size_t row,
+      const std::vector<std::shared_ptr<echoimage::array::WeightTable>>&
+          tables,
+      echoimage::dsp::Complex* steering) const;
+  /// Active channels of `noise`'s subarray; throws std::invalid_argument
+  /// unless the model was built for this imager's bands and array.
+  [[nodiscard]] std::size_t checked_channels(const NoiseModel& noise) const;
+  /// Band-pass + direct-path suppression of the beep.
+  [[nodiscard]] MultiChannelSignal prepare(const MultiChannelSignal& beep,
+                                           double tau_direct_s) const;
 
   ImagingConfig config_;
   ArrayGeometry geometry_;
@@ -184,7 +241,6 @@ class AcousticImager {
   const obs::Counter* bands_counter_ = nullptr;
   echoimage::dsp::SosCascade bandpass_filter_;
   std::vector<echoimage::dsp::SosCascade> subband_filters_;
-  std::vector<double> subband_centers_;
   std::vector<echoimage::dsp::Signal> subband_templates_;  ///< per-band chirp
 };
 

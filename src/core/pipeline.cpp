@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -251,6 +252,10 @@ ProcessedBeeps EchoImagePipeline::process(
   const units::Meters plane{out.distance.user_distance_centroid_m > 0.0
                                 ? out.distance.user_distance_centroid_m
                                 : out.distance.user_distance_m};
+  // Every beep of the attempt images against the same noise capture and
+  // subarray, so the noise front end and covariance inverses run once,
+  // after the first deadline poll.
+  std::optional<AcousticImager::NoiseModel> noise;
   for (std::size_t b = 0; b < use_beeps->size(); ++b) {
     // Deadline poll sits at the per-beep boundary: each image is the
     // expensive unit of work, and stopping between images leaves a clean
@@ -259,10 +264,11 @@ ProcessedBeeps EchoImagePipeline::process(
       out.deadline_expired = true;
       return out;
     }
+    if (!noise) noise = imager_.noise_model(*use_noise, mask_ref);
     EI_SPAN(tracer, "pipeline.image", b);
     out.images.push_back(AcousticImage{imager_.construct_bands(
-        (*use_beeps)[b], plane, out.distance.tau_direct_s, *use_noise,
-        out.distance.tau_echo_centroid_s, mask_ref)});
+        (*use_beeps)[b], plane, out.distance.tau_direct_s, *noise,
+        out.distance.tau_echo_centroid_s)});
   }
   return out;
 }

@@ -31,8 +31,7 @@ double Chirp::value_at(double t) const {
       2.0 * std::numbers::pi *
       (params_.f_start.value() * t + 0.5 * sweep_rate_ * t * t);
   const double u = t / params_.duration.value();
-  return params_.amplitude * window_value(WindowType::kTukey, u,
-                                          params_.tukey_alpha) *
+  return params_.amplitude * tukey_window(u, params_.tukey_alpha) *
          std::cos(phase);
 }
 

@@ -21,6 +21,23 @@ namespace echoimage::dsp {
 [[nodiscard]] ComplexSignal matched_filter_complex(
     const ComplexSignal& received, std::span<const Sample> tmpl);
 
+/// A template transformed once for correlating many equal-length signals:
+/// the spectrum of `tmpl` zero-padded to the transform size that
+/// matched_filter_complex uses for `received_length`-sample inputs, so
+/// sharing it gives bit-identical outputs. Empty when either length is 0.
+struct TemplateSpectrum {
+  std::size_t received_length = 0;
+  ComplexSignal spectrum;
+};
+[[nodiscard]] TemplateSpectrum template_spectrum(std::span<const Sample> tmpl,
+                                                 std::size_t received_length);
+
+/// matched_filter_complex against a pre-transformed template. Throws
+/// std::invalid_argument when `received` is not the length `tmpl` was
+/// transformed for.
+[[nodiscard]] ComplexSignal matched_filter_complex(
+    const ComplexSignal& received, const TemplateSpectrum& tmpl);
+
 /// |matched_filter_complex(received, tmpl)|: correlating the analytic
 /// signal with a real template yields the analytic correlation, so the
 /// magnitude is already the correlation envelope (no second Hilbert pass).

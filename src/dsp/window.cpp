@@ -3,48 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <stdexcept>
 
 namespace echoimage::dsp {
 
-double window_value(WindowType type, double u, double tukey_alpha) {
+double tukey_window(double u, double alpha) {
   if (u < 0.0 || u > 1.0) return 0.0;
   constexpr double pi = std::numbers::pi;
-  switch (type) {
-    case WindowType::kRectangular:
-      return 1.0;
-    case WindowType::kHann:
-      return 0.5 - 0.5 * std::cos(2.0 * pi * u);
-    case WindowType::kHamming:
-      return 0.54 - 0.46 * std::cos(2.0 * pi * u);
-    case WindowType::kBlackman:
-      return 0.42 - 0.5 * std::cos(2.0 * pi * u) +
-             0.08 * std::cos(4.0 * pi * u);
-    case WindowType::kTukey: {
-      const double a = std::clamp(tukey_alpha, 0.0, 1.0);
-      if (a <= 0.0) return 1.0;
-      if (u < a / 2.0)
-        return 0.5 * (1.0 + std::cos(pi * (2.0 * u / a - 1.0)));
-      if (u > 1.0 - a / 2.0)
-        return 0.5 * (1.0 + std::cos(pi * (2.0 * (1.0 - u) / a - 1.0)));
-      return 1.0;
-    }
-  }
-  throw std::invalid_argument("window_value: unknown window type");
-}
-
-Signal make_window(WindowType type, std::size_t n, double tukey_alpha) {
-  Signal w(n);
-  if (n == 0) return w;
-  if (n == 1) {
-    w[0] = window_value(type, 0.5, tukey_alpha);
-    return w;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const double u = static_cast<double>(i) / static_cast<double>(n - 1);
-    w[i] = window_value(type, u, tukey_alpha);
-  }
-  return w;
+  const double a = std::clamp(alpha, 0.0, 1.0);
+  if (a <= 0.0) return 1.0;
+  if (u < a / 2.0) return 0.5 * (1.0 + std::cos(pi * (2.0 * u / a - 1.0)));
+  if (u > 1.0 - a / 2.0)
+    return 0.5 * (1.0 + std::cos(pi * (2.0 * (1.0 - u) / a - 1.0)));
+  return 1.0;
 }
 
 }  // namespace echoimage::dsp

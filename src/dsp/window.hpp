@@ -1,29 +1,12 @@
-// Window functions used for chirp shaping.
+// The Tukey taper used for chirp shaping.
 #pragma once
-
-#include <cstddef>
-
-#include "dsp/signal.hpp"
 
 namespace echoimage::dsp {
 
-enum class WindowType {
-  kRectangular,
-  kHann,
-  kHamming,
-  kBlackman,
-  kTukey,  ///< Tapered cosine; taper fraction supplied separately.
-};
-
-/// Window value at normalized position u in [0, 1]. `tukey_alpha` is the
-/// taper fraction for the Tukey window (ignored by other types); outside
-/// [0, 1] the window is zero.
-[[nodiscard]] double window_value(WindowType type, double u,
-                                  double tukey_alpha = 0.5);
-
-/// Sampled window of `n` points spanning u = 0..1 inclusive of endpoints
-/// (periodicity is not needed for our uses).
-[[nodiscard]] Signal make_window(WindowType type, std::size_t n,
-                                 double tukey_alpha = 0.5);
+/// Tukey (tapered cosine) window at normalized position u in [0, 1]:
+/// cosine tapers over the first and last alpha/2 of the span, flat in
+/// between. `alpha` is clamped to [0, 1]; 0 is rectangular and 1 is the
+/// Hann window. Outside [0, 1] the window is zero.
+[[nodiscard]] double tukey_window(double u, double alpha);
 
 }  // namespace echoimage::dsp

@@ -27,19 +27,6 @@ double CMatrix::mean_diagonal_real() const {
   return s / static_cast<double>(rows_);
 }
 
-CMatrix multiply(const CMatrix& a, const CMatrix& b) {
-  if (a.cols() != b.rows())
-    throw std::invalid_argument("multiply: shape mismatch");
-  CMatrix out(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const Complex aik = a(i, k);
-      if (aik == Complex(0.0, 0.0)) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
-    }
-  return out;
-}
-
 std::vector<Complex> multiply(const CMatrix& a, const std::vector<Complex>& x) {
   if (a.cols() != x.size())
     throw std::invalid_argument("multiply: shape mismatch");
@@ -55,14 +42,6 @@ Complex hdot(const std::vector<Complex>& x, const std::vector<Complex>& y) {
   Complex s(0.0, 0.0);
   for (std::size_t i = 0; i < x.size(); ++i) s += std::conj(x[i]) * y[i];
   return s;
-}
-
-CMatrix outer(const std::vector<Complex>& x, const std::vector<Complex>& y) {
-  CMatrix m(x.size(), y.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    for (std::size_t j = 0; j < y.size(); ++j)
-      m(i, j) = x[i] * std::conj(y[j]);
-  return m;
 }
 
 CMatrix inverse(const CMatrix& a) {

@@ -47,9 +47,6 @@ class CMatrix {
   std::vector<Complex> data_;
 };
 
-/// Matrix product A * B. Throws std::invalid_argument on shape mismatch.
-[[nodiscard]] CMatrix multiply(const CMatrix& a, const CMatrix& b);
-
 /// Matrix-vector product A * x.
 [[nodiscard]] std::vector<Complex> multiply(const CMatrix& a,
                                             const std::vector<Complex>& x);
@@ -57,10 +54,6 @@ class CMatrix {
 /// Inner product x^H y.
 [[nodiscard]] Complex hdot(const std::vector<Complex>& x,
                            const std::vector<Complex>& y);
-
-/// Outer product x y^H as a matrix.
-[[nodiscard]] CMatrix outer(const std::vector<Complex>& x,
-                            const std::vector<Complex>& y);
 
 /// General inverse via Gauss-Jordan with partial pivoting. Throws
 /// std::runtime_error for (numerically) singular input.

@@ -9,15 +9,12 @@ namespace echoimage::simd {
 
 namespace {
 
-// Selection state. Plain globals by design (src/simd may not reach for
+// Override state. Plain globals by design (src/simd may not reach for
 // std::atomic — echolint R2 — and does not need to): overrides are applied
 // at startup or from single-threaded test sections, and the pool's task
 // handoff publishes the write before any worker reads it.
 bool g_override_set = false;
 Isa g_override = Isa::kScalar;
-bool g_env_read = false;
-bool g_env_set = false;
-Isa g_env_isa = Isa::kScalar;
 
 const KernelTable* table_or_null(Isa isa) {
   switch (isa) {
@@ -33,19 +30,31 @@ const KernelTable* table_or_null(Isa isa) {
   return nullptr;
 }
 
-Isa env_or_best() {
-  if (!g_env_read) {
-    g_env_read = true;
-    if (const char* env = std::getenv("ECHOIMAGE_SIMD")) {
-      const Isa parsed = parse_isa(env);  // throws on junk: fail loudly
-      if (!isa_supported(parsed))
-        throw std::invalid_argument(
-            std::string("ECHOIMAGE_SIMD requests unsupported lane: ") + env);
-      g_env_set = true;
-      g_env_isa = parsed;
-    }
+/// The lane ECHOIMAGE_SIMD requests, if any.
+struct EnvLane {
+  bool set = false;
+  Isa isa = Isa::kScalar;
+};
+
+EnvLane read_env_lane() {
+  EnvLane lane;
+  if (const char* env = std::getenv("ECHOIMAGE_SIMD")) {
+    const Isa parsed = parse_isa(env);  // throws on junk: fail loudly
+    if (!isa_supported(parsed))
+      throw std::invalid_argument(
+          std::string("ECHOIMAGE_SIMD requests unsupported lane: ") + env);
+    lane.set = true;
+    lane.isa = parsed;
   }
-  return g_env_set ? g_env_isa : best_isa();
+  return lane;
+}
+
+Isa env_or_best() {
+  // Read once, as a function-local static: its initialization is
+  // thread-safe, and the first kernel call may come from several pool
+  // workers at once (the imager's per-channel tasks).
+  static const EnvLane lane = read_env_lane();
+  return lane.set ? lane.isa : best_isa();
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <random>
 #include <utility>
 
+#include "array_reference.hpp"
 #include "array/covariance.hpp"
 #include "dsp/chirp.hpp"
 #include "dsp/hilbert.hpp"
@@ -29,7 +30,7 @@ constexpr units::Hertz kF0{2500.0};
 MultiChannelSignal plane_wave_tone(const ArrayGeometry& g, const Direction& dir,
                                    units::Hertz freq, std::size_t n,
                                    double noise_std = 0.0, unsigned seed = 1) {
-  const std::vector<double> taus = tdoas(g, dir);
+  const std::vector<double> taus = reference::tdoas(g, dir);
   std::mt19937 gen(seed);
   std::normal_distribution<double> d(0.0, 1.0);
   MultiChannelSignal x;
@@ -76,7 +77,7 @@ TEST(MvdrWeights, DistortionlessConstraint) {
   const Direction d{kPi / 2.0, 1.2};
   const auto a = steering_vector_hz(g, d, kF0);
   // A directional noise field, so MVDR is not just delay-and-sum.
-  CMatrix r = echoimage::linalg::outer(a, a);
+  CMatrix r = reference::outer(a, a);
   r.add_diagonal(0.1);
   const auto w = weights(weight_beamformer(g, r), d, true);
   // w^H a = 1 is MVDR's defining constraint (Eq. 8 denominator).
@@ -102,7 +103,7 @@ TEST(MvdrWeights, NullsDirectionalInterference) {
   const auto a_look = steering_vector_hz(g, look, kF0);
   const auto a_int = steering_vector_hz(g, interferer, kF0);
   // Noise covariance dominated by the interferer + small white floor.
-  CMatrix r = echoimage::linalg::outer(a_int, a_int);
+  CMatrix r = reference::outer(a_int, a_int);
   for (std::size_t i = 0; i < 6; ++i) r(i, i) += Complex(0.01, 0.0);
   const auto w = weights(weight_beamformer(g, r), look, true);
   const double gain_look =
@@ -236,7 +237,7 @@ TEST(NarrowbandBeamformer, PhysicallyRenderedEchoFavoursTrueDirection) {
   }
   const NarrowbandBeamformer bf =
       analytic_beamformer(echo, echoimage::array::make_respeaker_array());
-  const Direction toward = direction_to_point(target);
+  const Direction toward = reference::direction_to_point(target);
   const Direction mirror{toward.theta + kPi, toward.phi};
   const std::vector<Gate> whole{{0, echo.length()}};
   const GateCovariances q(bf.analytic(), whole);

@@ -6,6 +6,7 @@
 #include <numbers>
 #include <random>
 
+#include "array_reference.hpp"
 #include "dsp/hilbert.hpp"
 
 namespace echoimage::array {
@@ -19,7 +20,7 @@ constexpr double kF0 = 2500.0;
 std::vector<echoimage::dsp::ComplexSignal> tone_snapshots(
     const ArrayGeometry& g, const Direction& dir, std::size_t n,
     double noise_std, unsigned seed) {
-  const std::vector<double> taus = tdoas(g, dir);
+  const std::vector<double> taus = reference::tdoas(g, dir);
   std::mt19937 gen(seed);
   std::normal_distribution<double> d(0.0, noise_std);
   std::vector<echoimage::dsp::ComplexSignal> out(g.num_mics());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "eval/dataset.hpp"
 #include "eval/roster.hpp"
@@ -133,6 +134,30 @@ TEST(DistanceEstimator, SingleMicModeRuns) {
   // Single-mic estimation is the paper's strawman: it may be less accurate
   // but must run and produce a sane envelope.
   EXPECT_FALSE(e.averaged_envelope.empty());
+}
+
+TEST(DistanceEstimator, MaskOfTheWrongLengthIsRejected) {
+  // The single-mic branch indexes the mask by the configured microphone:
+  // a mask shorter than the capture must be refused before that read, in
+  // every steering mode.
+  const Fixture f;
+  const CaptureBatch batch = f.collect(0, 0.7);
+  const echoimage::array::ChannelMask short_mask(2, true);
+  const echoimage::array::ChannelMask long_mask(7, true);
+  for (const SteeringMode mode :
+       {SteeringMode::kSingleMic, SteeringMode::kDelayAndSum,
+        SteeringMode::kMvdr}) {
+    DistanceEstimatorConfig cfg;
+    cfg.mode = mode;
+    cfg.single_mic_index = 4;
+    const DistanceEstimator est(cfg, f.geometry);
+    EXPECT_THROW((void)est.beep_envelope(batch.beeps[0], batch.noise_only,
+                                         short_mask),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)est.estimate(batch.beeps, batch.noise_only, long_mask),
+        std::invalid_argument);
+  }
 }
 
 TEST(DistanceEstimator, DelayAndSumModeEstimates) {

@@ -7,18 +7,24 @@
 // pixel of the imager to within 1e-12 relative of it, across the incoherent
 // mix, MVDR and delay-and-sum, a degraded subarray, pulse compression on
 // and off, echo-anchored gates, gates clipped at the capture end, and
-// empty gates. It also pins the determinism contract: images are
-// bit-identical across worker counts and with the weight cache on or off.
+// empty gates. Its weights come from the textbook formula, not from the
+// imager's trig-free, band-shared fill, which is pinned to that formula
+// on its own at 1e-13 over the paper's 180 x 180 plane. It also pins the
+// determinism contract: images are bit-identical across worker counts and
+// with the weight cache on or off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <numbers>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "array/steering.hpp"
+#include "../array/array_reference.hpp"
 #include "core/imaging.hpp"
 #include "dsp/butterworth.hpp"
 #include "dsp/chirp.hpp"
@@ -40,8 +46,9 @@ struct Capture {
 };
 
 /// Direct-sum reference of `AcousticImager::construct_bands`: the same
-/// front end, weights and gates, with each pixel's energy summed sample by
-/// sample.
+/// front end and gates, the textbook weights (spherical angles, per-band
+/// complex exponentials, complex division), and each pixel's energy summed
+/// sample by sample.
 std::vector<Matrix2D> direct_sum_bands(const ImagingConfig& cfg,
                                        const ArrayGeometry& geometry,
                                        const Capture& cap, double plane_m,
@@ -95,12 +102,18 @@ std::vector<Matrix2D> direct_sum_bands(const ImagingConfig& cfg,
         a = echoimage::dsp::matched_filter_complex(a, tmpl);
       channels.push_back(std::move(a));
     }
-    const echoimage::array::NarrowbandBeamformer bf(
-        channels, units::Hertz{0.5 * (b_lo + b_hi)}, geometry,
-        echoimage::array::noise_covariance_of(band_noise), cfg.speed_of_sound,
-        mask);
-    const std::vector<ComplexSignal>& x = bf.analytic();
-    const std::size_t n = bf.length();
+    // The surviving subarray's channels, geometry and loaded noise inverse.
+    echoimage::array::CMatrix cov =
+        echoimage::array::noise_covariance_of(band_noise);
+    if (!mask.empty()) cov = echoimage::array::masked_covariance(cov, mask);
+    cov.add_diagonal(1e-3);
+    const echoimage::array::CMatrix r_inv = echoimage::linalg::inverse(cov);
+    const std::vector<ComplexSignal> x =
+        mask.empty() ? channels
+                     : echoimage::array::select_channels(channels, mask);
+    const ArrayGeometry sub = mask.empty() ? geometry : geometry.subarray(mask);
+    const double omega = 2.0 * std::numbers::pi * 0.5 * (b_lo + b_hi);
+    const std::size_t n = x.front().size();
 
     Matrix2D image(grid, grid);
     for (std::size_t row = 0; row < grid; ++row) {
@@ -124,11 +137,9 @@ std::vector<Matrix2D> direct_sum_bands(const ImagingConfig& cfg,
             n, echoimage::dsp::seconds_to_samples(std::max(0.0, t1), fs));
         double e = 0.0;
         if (mix < 1.0) {
-          const echoimage::array::Direction dir =
-              echoimage::array::direction_to_point(p);
-          std::vector<Complex> steering;
-          std::vector<Complex> w(x.size());
-          bf.compute_weights(dir, cfg.use_mvdr, steering, w.data());
+          const std::vector<Complex> w =
+              echoimage::array::reference::textbook_weights(
+                  sub, p, omega, cfg.speed_of_sound, r_inv, cfg.use_mvdr);
           double coherent = 0.0;
           for (std::size_t t = first; t < last; ++t) {
             Complex y(0.0, 0.0);
@@ -266,6 +277,97 @@ TEST(ImagingOracle, EveryPixelWithin1em12OfTheDirectSumSweep) {
     EXPECT_GT(nonzeros, 0u) << "a case must image something";
     if (c.reaches_empty_gates) {
       EXPECT_GT(zeros, 0u) << "the case must reach empty gates";
+    }
+  }
+}
+
+TEST(ImagingOracle, WeightFillMatchesTheTextbookWeights) {
+  // The imager's cold weight fill (fill_weight_row: steering from each
+  // pixel's unit vector with phases shared across the bands, then
+  // solve_weights) against the textbook formula (angles, per-band complex
+  // exponentials, complex division) on every pixel of the paper's 180 x 180
+  // plane of 1 cm grids at 0.7 m, all 5 sub-bands of 2-3 kHz: full array
+  // and a one-microphone-masked subarray, MVDR and delay-and-sum. The bound
+  // also pins the rounding drift of the band recursion (worst at band 4).
+  const auto geometry = echoimage::array::make_respeaker_array();
+  ImagingConfig cfg;
+  cfg.grid_size = 180;
+  cfg.grid_spacing_m = 0.01;
+  cfg.num_subbands = 5;
+  constexpr double kPlane = 0.7;
+  const std::size_t grid = cfg.grid_size, bands = cfg.num_subbands;
+  const double width = (cfg.bandpass_high_hz - cfg.bandpass_low_hz) /
+                       static_cast<double>(bands);
+  const auto center_hz = [&](std::size_t b) {
+    return cfg.bandpass_low_hz + (static_cast<double>(b) + 0.5) * width;
+  };
+  ChannelMask one_masked(geometry.num_mics(), true);
+  one_masked[2] = false;
+  for (const ChannelMask& mask : {ChannelMask{}, one_masked}) {
+    const ArrayGeometry g = geometry.subarray(mask);
+    const std::size_t m = g.num_mics();
+    // A directional interferer per band, so MVDR differs from DAS.
+    AcousticImager::NoiseModel noise;
+    noise.active_mask = mask;
+    for (std::size_t b = 0; b < bands; ++b) {
+      const auto a_int = echoimage::array::steering_vector_hz(
+          geometry, echoimage::array::Direction{0.4, 1.1},
+          units::Hertz{center_hz(b)});
+      echoimage::linalg::CMatrix r =
+          echoimage::array::reference::outer(a_int, a_int);
+      r.add_diagonal(0.2);
+      noise.bands.push_back({echoimage::array::loaded_inverse(r, mask), 0});
+    }
+    for (const bool mvdr : {true, false}) {
+      SCOPED_TRACE(std::string(mask.empty() ? "full array" : "masked") +
+                   (mvdr ? ", MVDR" : ", DAS"));
+      cfg.use_mvdr = mvdr;
+      const AcousticImager imager(cfg, geometry);
+      std::vector<std::shared_ptr<echoimage::array::WeightTable>> tables;
+      for (std::size_t b = 0; b < bands; ++b)
+        tables.push_back(
+            std::make_shared<echoimage::array::WeightTable>(grid * grid, m));
+      for (std::size_t row = 0; row < grid; ++row)
+        imager.fill_weight_row(noise, units::Meters{kPlane}, row, tables);
+      std::vector<double> worst(bands, 0.0);
+      const double half =
+          0.5 * static_cast<double>(grid - 1) * cfg.grid_spacing_m;
+      for (std::size_t k = 0; k < grid * grid; ++k) {
+        const echoimage::array::Vec3 p{
+            static_cast<double>(k % grid) * cfg.grid_spacing_m - half, kPlane,
+            cfg.plane_center_z_m + half -
+                static_cast<double>(k / grid) * cfg.grid_spacing_m};
+        for (std::size_t b = 0; b < bands; ++b) {
+          const std::vector<Complex> want =
+              echoimage::array::reference::textbook_weights(
+                  g, p, 2.0 * std::numbers::pi * center_hz(b),
+                  cfg.speed_of_sound, noise.bands[b].inverse, mvdr);
+          const Complex* const got = tables[b]->row(k);
+          double diff = 0.0, scale = 0.0;
+          for (std::size_t i = 0; i < m; ++i) {
+            diff = std::max(diff, std::abs(got[i] - want[i]));
+            scale = std::max(scale, std::abs(want[i]));
+          }
+          worst[b] = std::max(worst[b], diff / scale);
+        }
+      }
+      for (std::size_t b = 0; b < bands; ++b)
+        EXPECT_LE(worst[b], 1e-13) << "band " << b;
+      // Tables, rows or planes that do not fit the grid are refused.
+      EXPECT_THROW(imager.fill_weight_row(noise, units::Meters{kPlane}, grid,
+                                          tables),
+                   std::invalid_argument);
+      EXPECT_THROW(imager.fill_weight_row(noise, units::Meters{0.0}, 0, tables),
+                   std::invalid_argument);
+      tables.back() =
+          std::make_shared<echoimage::array::WeightTable>(grid * grid, m + 1);
+      EXPECT_THROW(imager.fill_weight_row(noise, units::Meters{kPlane}, 0,
+                                          tables),
+                   std::invalid_argument);
+      tables.pop_back();
+      EXPECT_THROW(imager.fill_weight_row(noise, units::Meters{kPlane}, 0,
+                                          tables),
+                   std::invalid_argument);
     }
   }
 }

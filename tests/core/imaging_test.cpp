@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "dsp/signal.hpp"
 #include "eval/dataset.hpp"
@@ -50,6 +51,79 @@ TEST(AcousticImager, RejectsNonPositivePlaneDistance) {
   EXPECT_THROW((void)imager.construct(batch.beeps[0], 0.0_m),
                std::invalid_argument);
   EXPECT_THROW((void)imager.construct_bands(batch.beeps[0], -1.0_m),
+               std::invalid_argument);
+}
+
+TEST(AcousticImager, SharedNoiseModelMatchesTheOneShotFormBitwise) {
+  // The pipeline builds one noise model per attempt and images every beep
+  // against it; that must reproduce the one-shot form, which rebuilds the
+  // model per beep, bit for bit — full array and degraded subarray, with
+  // and without a noise capture, and with the weight cache off (every beep
+  // fills) or on (later beeps replay the tables).
+  const Fixture f;
+  echoimage::eval::CollectionConditions cond;
+  cond.beeps_per_stance = 2;
+  const auto batch = f.collector.collect(f.users[0], cond, 1);
+  echoimage::array::ChannelMask degraded(6, true);
+  degraded[3] = false;
+  const MultiChannelSignal no_noise;
+  for (const bool cache : {false, true}) {
+    ImagingConfig cfg = small_config();
+    cfg.num_subbands = 3;
+    cfg.use_weight_cache = cache;
+    const AcousticImager shared(cfg, f.geometry), one_shot(cfg, f.geometry);
+    for (const auto& mask : {echoimage::array::ChannelMask{}, degraded}) {
+      for (const MultiChannelSignal* noise : {&batch.noise_only, &no_noise}) {
+        const AcousticImager::NoiseModel model =
+            shared.noise_model(*noise, mask);
+        for (const auto& beep : batch.beeps) {
+          const auto got =
+              shared.construct_bands(beep, 0.7_m, 0.0002, model, 0.004);
+          const auto want = one_shot.construct_bands(beep, 0.7_m, 0.0002,
+                                                     *noise, 0.004, mask);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t b = 0; b < got.size(); ++b)
+            for (std::size_t k = 0; k < got[b].size(); ++k)
+              ASSERT_EQ(got[b].data()[k], want[b].data()[k]);
+        }
+      }
+    }
+  }
+}
+
+TEST(AcousticImager, RejectsANoiseModelFromAnotherConfiguration) {
+  const Fixture f;
+  echoimage::eval::CollectionConditions cond;
+  const auto batch = f.collector.collect(f.users[0], cond, 1);
+  ImagingConfig three = small_config();
+  three.num_subbands = 3;
+  const AcousticImager imager(small_config(), f.geometry);
+  const AcousticImager other(three, f.geometry);
+  EXPECT_THROW(
+      (void)imager.construct_bands(batch.beeps[0], 0.7_m, 0.0002,
+                                   other.noise_model(batch.noise_only)),
+      std::invalid_argument);
+  EXPECT_THROW((void)imager.construct_bands(batch.beeps[0], 0.7_m, 0.0002,
+                                            AcousticImager::NoiseModel{}),
+               std::invalid_argument);
+  echoimage::array::ChannelMask short_mask(4, true);
+  EXPECT_THROW((void)imager.noise_model(batch.noise_only, short_mask),
+               std::invalid_argument);
+  // The mask and the inverses must agree: a degraded model whose mask was
+  // cleared, or a full model given a degraded mask, would steer 6 channels
+  // against 5-channel weights (or the reverse).
+  echoimage::array::ChannelMask degraded(6, true);
+  degraded[3] = false;
+  AcousticImager::NoiseModel cleared =
+      imager.noise_model(batch.noise_only, degraded);
+  cleared.active_mask.clear();
+  EXPECT_THROW((void)imager.construct_bands(batch.beeps[0], 0.7_m, 0.0002,
+                                            cleared),
+               std::invalid_argument);
+  AcousticImager::NoiseModel narrowed = imager.noise_model(batch.noise_only);
+  narrowed.active_mask = degraded;
+  EXPECT_THROW((void)imager.construct_bands(batch.beeps[0], 0.7_m, 0.0002,
+                                            narrowed),
                std::invalid_argument);
 }
 

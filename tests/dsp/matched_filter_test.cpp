@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "dsp/chirp.hpp"
 #include "dsp/hilbert.hpp"
@@ -126,6 +127,23 @@ TEST(MatchedFilter, EmptyInputsYieldZeros) {
       matched_filter_envelope(ComplexSignal(16, Complex(1.0, 0.0)), Signal{});
   ASSERT_EQ(out.size(), 16u);
   for (const double v : out) EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+TEST(MatchedFilter, SharedTemplateSpectrumIsBitIdenticalAndLengthChecked) {
+  // One transformed template serves every channel of a capture: the same
+  // bits as transforming it per call, and only for the length it was
+  // transformed for.
+  const Signal tmpl = chirp_template();
+  const TemplateSpectrum shared = template_spectrum(tmpl, 777);
+  for (const double gain : {0.1, -2.5}) {
+    const ComplexSignal rx = analytic_signal(Signal(777, gain));
+    const ComplexSignal want = matched_filter_complex(rx, tmpl);
+    const ComplexSignal got = matched_filter_complex(rx, shared);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
+  }
+  EXPECT_THROW((void)matched_filter_complex(ComplexSignal(776), shared),
+               std::invalid_argument);
 }
 
 TEST(MatchedFilter, NoiseOnlyInputHasNoDominantPeak) {

@@ -17,6 +17,15 @@ CMatrix hermitian(const CMatrix& m) {
   return h;
 }
 
+// Matrix product A * B (the library needs only matrix-vector products).
+CMatrix product(const CMatrix& a, const CMatrix& b) {
+  CMatrix out(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t k = 0; k < a.cols(); ++k)
+      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += a(i, k) * b(k, j);
+  return out;
+}
+
 CMatrix random_hpd(std::size_t n, unsigned seed) {
   // A^H A + n I is Hermitian positive definite.
   std::mt19937 gen(seed);
@@ -24,7 +33,7 @@ CMatrix random_hpd(std::size_t n, unsigned seed) {
   CMatrix a(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) a(i, j) = Complex(d(gen), d(gen));
-  CMatrix h = multiply(hermitian(a), a);
+  CMatrix h = product(hermitian(a), a);
   h.add_diagonal(static_cast<double>(n));
   return h;
 }
@@ -52,25 +61,7 @@ TEST(CMatrix, MeanDiagonalReal) {
   EXPECT_DOUBLE_EQ(m.mean_diagonal_real(), 3.0);
 }
 
-TEST(Multiply, MatrixMatrixKnownProduct) {
-  CMatrix a(2, 2), b(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 3.0;
-  a(1, 1) = 4.0;
-  b(0, 0) = 5.0;
-  b(0, 1) = 6.0;
-  b(1, 0) = 7.0;
-  b(1, 1) = 8.0;
-  const CMatrix c = multiply(a, b);
-  EXPECT_EQ(c(0, 0), Complex(19.0, 0.0));
-  EXPECT_EQ(c(0, 1), Complex(22.0, 0.0));
-  EXPECT_EQ(c(1, 0), Complex(43.0, 0.0));
-  EXPECT_EQ(c(1, 1), Complex(50.0, 0.0));
-}
-
 TEST(Multiply, ShapeMismatchThrows) {
-  EXPECT_THROW(multiply(CMatrix(2, 3), CMatrix(2, 3)), std::invalid_argument);
   EXPECT_THROW(multiply(CMatrix(2, 3), std::vector<Complex>(2)),
                std::invalid_argument);
 }
@@ -88,23 +79,13 @@ TEST(Hdot, ConjugatesFirstArgument) {
   EXPECT_EQ(hdot(x, y), Complex(1.0, 0.0));  // conj(i)*i = 1
 }
 
-TEST(Outer, RankOneStructure) {
-  const std::vector<Complex> x{{1.0, 0.0}, {0.0, 1.0}};
-  const std::vector<Complex> y{{2.0, 0.0}};
-  const CMatrix m = outer(x, y);
-  EXPECT_EQ(m.rows(), 2u);
-  EXPECT_EQ(m.cols(), 1u);
-  EXPECT_EQ(m(0, 0), Complex(2.0, 0.0));
-  EXPECT_EQ(m(1, 0), Complex(0.0, 2.0));
-}
-
 class InverseTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(InverseTest, InverseTimesOriginalIsIdentity) {
   const std::size_t n = GetParam();
   const CMatrix a = random_hpd(n, 55 + static_cast<unsigned>(n));
   const CMatrix inv = inverse(a);
-  const CMatrix prod = multiply(a, inv);
+  const CMatrix prod = product(a, inv);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       EXPECT_NEAR(std::abs(prod(i, j) - (i == j ? Complex(1.0, 0.0)
